@@ -306,7 +306,7 @@ pub fn load_night_with_journal(
             }
             obs.counter(&format!("faults.survived.{}", fault_label(&err)))
                 .inc();
-            degrader.note_failure();
+            degrader.note_fault(&err);
             // The rollback itself crosses the wire and can hit the same
             // flaky link; insist a little.
             {

@@ -15,10 +15,11 @@
 //!   transport failures on one connection, quarantine it — the loader
 //!   reconnects and its file is requeued through dynamic assignment.
 //! * **Graceful degradation** ([`Degrader`]): after consecutive failed
-//!   attempts the fleet halves its array/batch sizes, ultimately falling
-//!   back to per-row inserts, and restores full batch mode once attempts
-//!   succeed again. Smaller wire calls both shrink the retransmit cost of
-//!   a failure and step around per-batch fault modes.
+//!   attempts the fleet halves its array/batch sizes — falling back to
+//!   per-row inserts only for batch-payload corruption ([`degrade_floor`])
+//!   — and restores full batch mode once attempts succeed again. Smaller
+//!   wire calls shrink the retransmit cost of a failure; per-row inserts
+//!   step around per-batch fault modes.
 //!
 //! All knobs live in [`RetryPolicy`], carried inside
 //! [`LoaderConfig`](crate::config::LoaderConfig) so existing entry points
@@ -137,7 +138,8 @@ pub struct RetryPolicy {
     /// Consecutive transport failures on one connection before its breaker
     /// trips: the loader reconnects and the file is requeued (0 disables).
     pub breaker_threshold: u64,
-    /// Consecutive failed attempts (fleet-wide) before degrading one level.
+    /// Consecutive failed attempts (fleet-wide) before degrading one level
+    /// (down to [`degrade_floor`] of the failing error).
     pub degrade_after: u64,
     /// Consecutive successful attempts before restoring full batch mode.
     pub restore_after: u64,
@@ -355,14 +357,35 @@ pub struct DegradeTransition {
 /// Highest degradation level: per-row inserts.
 pub const MAX_DEGRADE_LEVEL: u32 = 3;
 
+/// Lowest rung a per-call fault (reset, busy, timeout, disk-full, write
+/// conflict) may push the ladder to: arrays halved twice, still in batch
+/// mode. Smaller calls shrink the retransmit cost of such a fault, but
+/// per-row inserts do not route around it — they only multiply the calls
+/// a commit needs, so under a steady fault rate no attempt reaches its
+/// commit.
+pub const CALL_FAULT_DEGRADE_FLOOR: u32 = 2;
+
+/// How far down the ladder a transient failure may push the fleet. Only
+/// batch-payload corruption reaches per-row inserts ([`MAX_DEGRADE_LEVEL`]):
+/// a corrupt batch cannot touch a single-row insert, so that rung is the
+/// one that genuinely routes around it.
+pub fn degrade_floor(e: &DbError) -> u32 {
+    match e {
+        DbError::Corruption(_) => MAX_DEGRADE_LEVEL,
+        DbError::Batch { cause, .. } => degrade_floor(cause),
+        _ => CALL_FAULT_DEGRADE_FLOOR,
+    }
+}
+
 /// The fleet-shared degradation ladder.
 ///
 /// Level 0 is healthy (the configured array/batch sizes). Each degrade step
 /// halves both sizes; at [`MAX_DEGRADE_LEVEL`] the loader falls back to
-/// per-row inserts ([`ExecMode::Singleton`]). After `restore_after`
-/// consecutive successful attempts the ladder restores straight to level 0
-/// — the connection is demonstrably healthy, so there is no reason to creep
-/// back up through intermediate sizes.
+/// per-row inserts ([`ExecMode::Singleton`]), a rung that
+/// [`Degrader::note_fault`] reserves for batch-payload corruption. After
+/// `restore_after` consecutive successful attempts the ladder restores
+/// straight to level 0 — the connection is demonstrably healthy, so there
+/// is no reason to creep back up through intermediate sizes.
 #[derive(Debug)]
 pub struct Degrader {
     degrade_after: u64,
@@ -423,10 +446,20 @@ impl Degrader {
 
     /// Record a failed attempt; may move the ladder down one level.
     pub fn note_failure(&self) {
+        self.note_failure_down_to(MAX_DEGRADE_LEVEL);
+    }
+
+    /// Record an attempt that failed with `e`; may move the ladder down one
+    /// level, but never below [`degrade_floor`] for that error.
+    pub fn note_fault(&self, e: &DbError) {
+        self.note_failure_down_to(degrade_floor(e));
+    }
+
+    fn note_failure_down_to(&self, floor: u32) {
         let mut g = self.inner.lock();
         g.ok_streak = 0;
         g.fail_streak += 1;
-        if g.fail_streak >= self.degrade_after && g.level < MAX_DEGRADE_LEVEL {
+        if g.fail_streak >= self.degrade_after && g.level < floor {
             let from = g.level;
             g.level += 1;
             g.fail_streak = 0;
@@ -595,6 +628,56 @@ mod tests {
         assert_eq!(moves.len(), 4, "3 degrades + 1 restore");
         assert_eq!(moves.last().unwrap().trigger, "restore");
         assert!(d.degraded_time() > Duration::ZERO);
+    }
+
+    #[test]
+    fn only_batch_corruption_reaches_per_row_inserts() {
+        let policy = RetryPolicy::default().with_degradation(1, 1);
+        let cfg = LoaderConfig::test()
+            .with_array_size(1000)
+            .with_batch_size(40);
+        let call_faults = [
+            DbError::Protocol("reset".into()),
+            DbError::ServerBusy("busy".into()),
+            DbError::Timeout("slow".into()),
+            DbError::Batch {
+                offset: 3,
+                cause: Box::new(DbError::Protocol("reset".into())),
+            },
+        ];
+        for e in &call_faults {
+            let d = Degrader::new(&policy);
+            for _ in 0..10 {
+                d.note_fault(e);
+            }
+            assert_eq!(d.level(), CALL_FAULT_DEGRADE_FLOOR, "{e}");
+            let shape = d.shape(&cfg);
+            assert_eq!(shape.mode, ExecMode::Bulk, "{e}");
+            assert_eq!(shape.array_size, 250, "{e}");
+        }
+        let corruption = [
+            DbError::Corruption("cksum".into()),
+            DbError::Batch {
+                offset: 0,
+                cause: Box::new(DbError::Corruption("cksum".into())),
+            },
+        ];
+        for e in &corruption {
+            let d = Degrader::new(&policy);
+            for _ in 0..10 {
+                d.note_fault(e);
+            }
+            assert_eq!(d.level(), MAX_DEGRADE_LEVEL, "{e}");
+            assert_eq!(d.shape(&cfg).mode, ExecMode::Singleton, "{e}");
+        }
+        // A reset-held ladder still steps down to per-row inserts once
+        // corruption arrives.
+        let d = Degrader::new(&policy);
+        for _ in 0..5 {
+            d.note_fault(&call_faults[0]);
+        }
+        d.note_fault(&corruption[0]);
+        assert_eq!(d.level(), MAX_DEGRADE_LEVEL);
     }
 
     #[test]

@@ -349,9 +349,9 @@ impl ShardLoader {
         session.set_fence(Some(self.group.write_fence(zone)));
         let outcome = self.flush_zone_inner(&session, tables);
         if outcome.is_err() {
-            // Best-effort: the replacement generation must not inherit a
-            // half-open transaction. A dead or fenced server may refuse
-            // the rollback too; that is fine — its state is gone anyway.
+            // The replacement generation must not inherit a half-open
+            // transaction. A flaky link may refuse this rollback; dropping
+            // the session below then aborts the transaction server-side.
             let _ = session.rollback();
         }
         outcome

@@ -10,11 +10,14 @@
 //! configurable rate or schedule.
 //!
 //! Every decision is a **pure function of the plan's seed and the call's
-//! per-class ordinal** (via [`SplitMix64`]), so one seed reproduces the
-//! identical fault schedule regardless of which loader thread happens to
-//! issue a given call: the *n*-th commit tears its flush on every run, the
-//! *k*-th batch is corrupt on every run. That is what makes the chaos-soak
-//! harness replayable.
+//! ordinal** (via [`SplitMix64`]). Class-specific kinds use per-class
+//! ordinals, so one seed reproduces them regardless of which loader thread
+//! issues a given call: the *n*-th commit tears its flush on every run, the
+//! *k*-th batch is corrupt on every run. Connection-level kinds (reset,
+//! busy, latency) use the plan-global ordinal: the faulted ordinals are
+//! fixed by the seed, but which session's call draws one depends on thread
+//! interleaving when several sessions share the plan. A single-session run
+//! replays exactly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -841,6 +841,22 @@ impl Session {
     }
 }
 
+/// A dropped session is a closed connection: the server aborts its open
+/// transaction, as a database does for a dead client. The abort is
+/// server-side bookkeeping, not a wire call, so no fault can refuse it —
+/// otherwise a rollback lost to a flaky link would leave the transaction's
+/// staged keys blocking every later writer. A crashed server skips it: its
+/// in-memory state is discarded and recovery replays only committed work.
+impl Drop for Session {
+    fn drop(&mut self) {
+        if let Some(txn) = self.txn.get_mut().take() {
+            if !self.server.is_crashed() {
+                let _ = self.server.engine.rollback(txn);
+            }
+        }
+    }
+}
+
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
@@ -941,6 +957,26 @@ mod tests {
         // Session can start a fresh transaction.
         sess.execute(&stmt, frame(1)).unwrap();
         sess.commit().unwrap();
+        assert_eq!(s.engine().row_count(fid), 1);
+    }
+
+    #[test]
+    fn dropped_session_aborts_its_open_transaction() {
+        let s = server();
+        let sess = s.connect();
+        let stmt = sess.prepare_insert("frames").unwrap();
+        sess.execute(&stmt, frame(1)).unwrap();
+        // The link fails every call, the rollback included: the client
+        // cannot end its transaction over the wire.
+        s.set_fault_plan(Some(FaultPlan::every_nth(1)));
+        assert!(sess.rollback().is_err());
+        assert!(sess.current_txn().is_some());
+        drop(sess);
+        s.set_fault_plan(None);
+        let fresh = s.connect();
+        fresh.execute(&stmt, frame(1)).unwrap();
+        fresh.commit().unwrap();
+        let fid = s.engine().table_id("frames").unwrap();
         assert_eq!(s.engine().row_count(fid), 1);
     }
 
