@@ -15,6 +15,7 @@ use skydb::{DbConfig, Server};
 use skysim::cluster::AssignmentPolicy;
 use skysim::time::TimeScale;
 
+use crate::chaos::{Preset, SoakConfig};
 use crate::config::{LoaderConfig, PipelineMode};
 use crate::parallel::load_night_with_journal;
 use crate::recovery::LoadJournal;
@@ -99,26 +100,13 @@ pub enum Command {
         /// zones (per-shard row counts).
         shards: Option<u32>,
     },
-    /// Chaos-soak a synthetic night under a seeded fault plan and verify
-    /// exactly-once delivery.
-    Chaos {
-        /// Master seed for night generation and the fault schedule.
-        seed: u64,
-        /// Catalog files in the synthetic night.
-        files: usize,
-        /// Parallel loader nodes.
-        nodes: usize,
-        /// Generator object-corruption rate (dirty data, not faults).
-        error_rate: f64,
-        /// Smaller night and plan, for CI.
-        quick: bool,
-        /// Kill the loader holding the Nth lease grant (1-based).
-        loader_kill_at: Option<u64>,
-        /// Freeze the loader holding the Nth lease grant into a zombie.
-        loader_stall_at: Option<u64>,
-        /// Lease TTL override, in milliseconds.
-        lease_ttl_ms: Option<u64>,
-        /// Write the chaos report as JSON here.
+    /// Soak a synthetic night under one preset's drivers and fault plan
+    /// (`chaos`, `campaign`, `scrub`, `shard-chaos`) and check every
+    /// promise the preset covers.
+    Soak {
+        /// The preset and its knobs.
+        config: SoakConfig,
+        /// Write the soak report as JSON here.
         report: Option<PathBuf>,
         /// Dump the telemetry registry as JSONL here after the soak.
         metrics: Option<PathBuf>,
@@ -144,59 +132,6 @@ pub enum Command {
         /// Dump the telemetry registry as JSONL here after the night.
         metrics: Option<PathBuf>,
     },
-    /// Run a reprocessing campaign under chaos: live-ingest season 1,
-    /// rebuild it as season 2 in shadow tables, crash the coordinator at
-    /// the swap point, resume, and verify swap atomicity under
-    /// concurrent serve-tier readers.
-    Campaign {
-        /// Master seed for both seasons and the fault plan.
-        seed: u64,
-        /// Catalog files in season 1 (season 2 gets one more).
-        files: usize,
-        /// Parallel loader nodes.
-        nodes: usize,
-        /// Smaller seasons, for CI.
-        quick: bool,
-        /// Kill the loader holding the Nth lease grant (1-based).
-        loader_kill_at: Option<u64>,
-        /// Skip the injected coordinator crash at the swap point.
-        no_swap_crash: bool,
-        /// Treat the swap crash as a full server crash (recover the
-        /// engine from the durable log before resuming).
-        restart_server: bool,
-        /// Concurrent serve-tier reader threads.
-        readers: usize,
-        /// Write the campaign-chaos report as JSON here.
-        report: Option<PathBuf>,
-        /// Dump the telemetry registry as JSONL here after the run.
-        metrics: Option<PathBuf>,
-    },
-    /// Soak a night under seeded bit rot with a concurrent background
-    /// scrubber and serve-tier readers, then self-repair from source
-    /// files and verify the catalog healed row-for-row.
-    Scrub {
-        /// Master seed for the night, the fault plan, and the rot
-        /// schedule.
-        seed: u64,
-        /// Catalog files in the synthetic night.
-        files: usize,
-        /// Parallel loader nodes.
-        nodes: usize,
-        /// Per-opportunity bit-rot probability.
-        bit_rot: f64,
-        /// Interval between background scrub passes, in milliseconds.
-        scrub_interval_ms: u64,
-        /// Also rot the durable WAL and restart the server from it.
-        wal_rot: bool,
-        /// Concurrent serve-tier reader threads.
-        readers: usize,
-        /// Smaller night, for CI.
-        quick: bool,
-        /// Write the scrub-chaos report as JSON here.
-        report: Option<PathBuf>,
-        /// Dump the telemetry registry as JSONL here after the run.
-        metrics: Option<PathBuf>,
-    },
     /// Serve a CasJobs-style fast/slow query mix against a repository
     /// while a loader fleet ingests a night, and report per-queue
     /// latency percentiles.
@@ -220,37 +155,6 @@ pub enum Command {
         /// Dump the telemetry registry as JSONL here after the run.
         metrics: Option<PathBuf>,
     },
-    /// Soak a declination-zone sharded repository: live-ingest a night
-    /// while a seeded driver kills and stalls shard engines, the
-    /// supervisor fences and rebuilds them, a coordinator restart
-    /// re-adopts the fleet mid-night, and scatter-gather readers verify
-    /// reads are shard-complete or explicitly flagged partial — then a
-    /// per-zone row-exact verdict.
-    ShardChaos {
-        /// Master seed for the night, the weather, and the shard faults.
-        seed: u64,
-        /// Catalog files in the night.
-        files: usize,
-        /// Declination zones (= shards).
-        shards: u32,
-        /// Concurrent serve-tier reader threads.
-        readers: usize,
-        /// Smaller night, for CI.
-        quick: bool,
-        /// Kill the shard picked at the Nth shard-fault opportunity.
-        shard_kill_at: Option<u64>,
-        /// Freeze a shard's heartbeat past its lease at the Nth
-        /// opportunity instead.
-        shard_stall_at: Option<u64>,
-        /// Shard lease TTL override, in milliseconds.
-        lease_ttl_ms: Option<u64>,
-        /// Skip the mid-night coordinator restart.
-        no_restart_coordinator: bool,
-        /// Write the shard-chaos report as JSON here.
-        report: Option<PathBuf>,
-        /// Dump the telemetry registry as JSONL here after the run.
-        metrics: Option<PathBuf>,
-    },
     /// Print usage.
     Help,
 }
@@ -266,13 +170,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
             match name {
-                "verify"
-                | "audit"
-                | "quick"
-                | "no-swap-crash"
-                | "restart-server"
-                | "wal-rot"
-                | "no-restart-coordinator" => {
+                "verify" | "audit" | "quick" | "restart-server" | "wal-rot" => {
                     flags.insert(name.to_owned(), "true".into());
                 }
                 _ => {
@@ -321,29 +219,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 .transpose()?,
             metrics: get("metrics").map(PathBuf::from),
         }),
-        "chaos" => {
-            let defaults = crate::chaos::ChaosConfig::default();
-            Ok(Command::Chaos {
-                seed: parse_num("seed", defaults.seed)?,
-                files: parse_num("files", defaults.files as u64)? as usize,
-                nodes: parse_num("nodes", defaults.nodes as u64)? as usize,
-                error_rate: get("error-rate")
-                    .map(|v| v.parse::<f64>().map_err(|e| format!("--error-rate: {e}")))
-                    .unwrap_or(Ok(defaults.error_rate))?,
-                quick: flags.contains_key("quick"),
-                loader_kill_at: get("loader-kill")
-                    .map(|v| v.parse::<u64>().map_err(|e| format!("--loader-kill: {e}")))
-                    .transpose()?,
-                loader_stall_at: get("loader-stall")
-                    .map(|v| v.parse::<u64>().map_err(|e| format!("--loader-stall: {e}")))
-                    .transpose()?,
-                lease_ttl_ms: get("lease-ttl")
-                    .map(|v| v.parse::<u64>().map_err(|e| format!("--lease-ttl: {e}")))
-                    .transpose()?,
-                report: get("report").map(PathBuf::from),
-                metrics: get("metrics").map(PathBuf::from),
-            })
-        }
         "live" => Ok(Command::Live {
             seed: parse_num("seed", 2005)?,
             files: parse_num("files", 12)? as usize,
@@ -360,51 +235,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             report: get("report").map(PathBuf::from),
             metrics: get("metrics").map(PathBuf::from),
         }),
-        "campaign" => {
-            let defaults = crate::chaos::CampaignChaosConfig::default();
-            Ok(Command::Campaign {
-                seed: parse_num("seed", defaults.seed)?,
-                files: parse_num("files", defaults.files as u64)? as usize,
-                nodes: parse_num("nodes", defaults.nodes as u64)? as usize,
-                quick: flags.contains_key("quick"),
-                loader_kill_at: match get("loader-kill") {
-                    Some(v) => Some(
-                        v.parse::<u64>()
-                            .map_err(|e| format!("--loader-kill: {e}"))?,
-                    ),
-                    None => defaults.loader_kill_at,
-                },
-                no_swap_crash: flags.contains_key("no-swap-crash"),
-                restart_server: flags.contains_key("restart-server"),
-                readers: parse_num("readers", defaults.readers as u64)? as usize,
-                report: get("report").map(PathBuf::from),
-                metrics: get("metrics").map(PathBuf::from),
-            })
-        }
-        "scrub" => {
-            let defaults = crate::chaos::ScrubChaosConfig::default();
-            Ok(Command::Scrub {
-                seed: parse_num("seed", defaults.seed)?,
-                files: parse_num("files", defaults.files as u64)? as usize,
-                nodes: parse_num("nodes", defaults.nodes as u64)? as usize,
-                bit_rot: get("bit-rot")
-                    .map(|v| v.parse::<f64>().map_err(|e| format!("--bit-rot: {e}")))
-                    .unwrap_or(Ok(defaults.rot_rate))?,
-                scrub_interval_ms: {
-                    let ms =
-                        parse_num("scrub-interval", defaults.scrub_interval.as_millis() as u64)?;
-                    if ms == 0 {
-                        return Err("--scrub-interval must be at least 1 ms".into());
-                    }
-                    ms
-                },
-                wal_rot: flags.contains_key("wal-rot"),
-                readers: parse_num("readers", defaults.readers as u64)? as usize,
-                quick: flags.contains_key("quick"),
-                report: get("report").map(PathBuf::from),
-                metrics: get("metrics").map(PathBuf::from),
-            })
-        }
         "serve" => {
             let defaults = crate::serving::ServeLoadConfig::default();
             Ok(Command::Serve {
@@ -419,39 +249,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     })
                     .transpose()?,
                 quick: flags.contains_key("quick"),
-                report: get("report").map(PathBuf::from),
-                metrics: get("metrics").map(PathBuf::from),
-            })
-        }
-        "shard-chaos" => {
-            let defaults = crate::chaos::ShardChaosConfig::default();
-            Ok(Command::ShardChaos {
-                seed: parse_num("seed", defaults.seed)?,
-                files: parse_num("files", defaults.files as u64)? as usize,
-                shards: {
-                    let n = parse_num("shards", u64::from(defaults.shards))?;
-                    if n == 0 {
-                        return Err("--shards must be at least 1".into());
-                    }
-                    n as u32
-                },
-                readers: parse_num("readers", defaults.readers as u64)? as usize,
-                quick: flags.contains_key("quick"),
-                shard_kill_at: match get("shard-kill") {
-                    Some(v) => Some(v.parse::<u64>().map_err(|e| format!("--shard-kill: {e}"))?),
-                    None => defaults.shard_kill_at,
-                },
-                shard_stall_at: match get("shard-stall") {
-                    Some(v) => Some(
-                        v.parse::<u64>()
-                            .map_err(|e| format!("--shard-stall: {e}"))?,
-                    ),
-                    None => defaults.shard_stall_at,
-                },
-                lease_ttl_ms: get("lease-ttl")
-                    .map(|v| v.parse::<u64>().map_err(|e| format!("--lease-ttl: {e}")))
-                    .transpose()?,
-                no_restart_coordinator: flags.contains_key("no-restart-coordinator"),
                 report: get("report").map(PathBuf::from),
                 metrics: get("metrics").map(PathBuf::from),
             })
@@ -479,8 +276,57 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             })
         }
         "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(format!("unknown command {other:?}; try `skyload help`")),
+        other => match Preset::from_name(other) {
+            Some(preset) => parse_soak(preset, &flags),
+            None => Err(format!("unknown command {other:?}; try `skyload help`")),
+        },
     }
+}
+
+/// Flags every soak preset accepts.
+const SOAK_FLAGS: [&str; 10] = [
+    "seed",
+    "files",
+    "nodes",
+    "quick",
+    "loader-kill",
+    "loader-stall",
+    "wal-rot",
+    "restart-server",
+    "report",
+    "metrics",
+];
+
+/// Parse a soak subcommand's flags over its preset's defaults.
+fn parse_soak(preset: Preset, flags: &BTreeMap<String, String>) -> Result<Command, String> {
+    if let Some(bad) = flags.keys().find(|k| !SOAK_FLAGS.contains(&k.as_str())) {
+        return Err(format!(
+            "{} does not take --{bad}; its flags are --{}",
+            preset.name(),
+            SOAK_FLAGS.join(" --")
+        ));
+    }
+    let num = |k: &str| {
+        flags
+            .get(k)
+            .map(|v| v.parse::<u64>().map_err(|e| format!("--{k}: {e}")))
+            .transpose()
+    };
+    let mut config = SoakConfig::new(preset);
+    config.seed = num("seed")?.unwrap_or(config.seed);
+    config.files = num("files")?.map_or(config.files, |n| n as usize);
+    config.nodes = num("nodes")?.map_or(config.nodes, |n| n as usize);
+    config.loader_kill_at = num("loader-kill")?.or(config.loader_kill_at);
+    config.loader_stall_at = num("loader-stall")?;
+    config.quick = flags.contains_key("quick");
+    config.wal_rot = flags.contains_key("wal-rot");
+    config.restart_server = flags.contains_key("restart-server");
+    config.validate()?;
+    Ok(Command::Soak {
+        config,
+        report: flags.get("report").map(PathBuf::from),
+        metrics: flags.get("metrics").map(PathBuf::from),
+    })
 }
 
 /// Usage text.
@@ -511,20 +357,29 @@ USAGE:
       JSONL dump instead: print the N slowest recorded spans (parse /
       flush / commit timeline).
 
-  skyload chaos [--seed N] [--files N] [--nodes N] [--error-rate F]
-                [--quick] [--loader-kill N] [--loader-stall N]
-                [--lease-ttl MS] [--report out.json] [--metrics out.jsonl]
-      Load a synthetic night under a seeded multi-kind fault plan
-      (resets, busy rejections, latency spikes, disk-full commits,
-      batch corruption, one crash-on-flush) and verify that every
-      loadable row landed exactly once. --loader-kill N kills the
+  skyload chaos|campaign|scrub|shard-chaos [--seed N] [--files N]
+                [--nodes N] [--quick] [--loader-kill N] [--loader-stall N]
+                [--wal-rot] [--restart-server] [--report out.json]
+                [--metrics out.jsonl]
+      Soak a synthetic night under one preset's drivers and seeded
+      fault plan, then check every promise the preset covers: each
+      loadable row lands exactly once, no rotted row is ever served, no
+      read sees a torn season, no scatter-gather read is silently
+      partial. chaos: a bulk night under call faults and a
+      crash-on-flush. campaign: a live night, then a shadow-swap
+      campaign with a loader kill and a coordinator crash at the swap,
+      under season-checking readers. scrub: a live night under bit rot
+      with a background scrubber and readers, then journal-driven
+      repair. shard-chaos: live ingest into --nodes declination-zone
+      shards through a shard kill, a shard stall and a coordinator
+      restart, under scatter-gather readers. --loader-kill N kills the
       loader holding the Nth lease grant mid-file; --loader-stall N
-      freezes it past its lease TTL and lets it wake as a zombie
-      (whose stale flush must be fenced out); --lease-ttl sets the
-      fleet's lease TTL in milliseconds. Same seed, same fault
-      schedule. Exits 1 on any lost or duplicated row. --metrics
-      dumps the shared telemetry registry — whose counters the chaos
-      report is a view over — as JSONL.
+      freezes it into a zombie whose stale flush must be fenced out;
+      --wal-rot (scrub) also rots the durable log and restarts from it;
+      --restart-server (campaign) escalates the swap crash to a full
+      server crash. Same seed, same fault schedule. Exits 1 unless the
+      verdict is PASS. --metrics dumps the shared telemetry registry —
+      whose counters the report is a view over — as JSONL.
 
   skyload live [--seed N] [--files N] [--nodes N] [--mean-interarrival MS]
                [--slo-budget MS] [--quick] [--report out.json]
@@ -537,60 +392,6 @@ USAGE:
       histogram; batches whose lag overruns --slo-budget count as SLO
       violations. Prints freshness p50/p95/p99/max and the violation
       count; exits 1 if any row was lost or a batch failed.
-
-  skyload campaign [--seed N] [--files N] [--nodes N] [--quick]
-                   [--loader-kill N] [--no-swap-crash] [--restart-server]
-                   [--readers N] [--report out.json] [--metrics out.jsonl]
-      Chaos-prove a season-scale reprocessing campaign end to end:
-      live-ingest season 1 under arrival bursts and connection
-      weather, rebuild it as season 2 in shadow tables (killing the
-      loader holding the Nth lease grant), crash the campaign
-      coordinator at the atomic shadow→live swap point, resume from
-      the persisted manifest, and purge the demoted season — all
-      while --readers serve-tier scan threads verify that every read
-      sees exactly one season. --restart-server escalates the swap
-      crash to a full server crash recovered from the durable log;
-      --no-swap-crash runs the happy path. Exits 1 on any lost,
-      duplicated or torn read.
-
-  skyload scrub [--seed N] [--files N] [--nodes N] [--bit-rot F]
-                [--scrub-interval MS] [--wal-rot] [--readers N] [--quick]
-                [--report out.json] [--metrics out.jsonl]
-      Prove the at-rest integrity loop end to end: live-ingest a
-      night while a seeded schedule flips bits in committed heap rows
-      (probability --bit-rot per opportunity), a background scrubber
-      CRC-walks every table each --scrub-interval ms and quarantines
-      what it catches, and --readers serve-tier scan threads verify
-      no rotted row is ever served (a caught read errors, it never
-      returns data). Afterwards a journal-driven repair maps each
-      quarantined row back to its source catalog file by id span and
-      re-loads exactly those files, deduplicating survivors.
-      --wal-rot additionally flips a bit in the durable log and
-      restarts the server from it: replay must stop at the first bad
-      record, and the repair widens to the whole night. Exits 1
-      unless the catalog heals to the generator's ground truth with
-      zero lost, duplicated, or served-corrupt rows. --metrics dumps
-      the scrub.* and repair.* counters as JSONL.
-
-  skyload shard-chaos [--seed N] [--files N] [--shards N] [--readers N]
-                      [--quick] [--shard-kill N] [--shard-stall N]
-                      [--lease-ttl MS] [--no-restart-coordinator]
-                      [--report out.json] [--metrics out.jsonl]
-      Soak a declination-zone sharded repository: the night live-ingests
-      into N zone shards (each its own engine behind one coordinator)
-      while a seeded driver kills shard engines mid-flush
-      (--shard-kill pins the Nth opportunity) and freezes heartbeats
-      past the lease TTL (--shard-stall) so zombie flushes must be
-      fenced; the supervisor detects lease expiry, fences the dead
-      generation, and rebuilds the shard from its durable log — or from
-      source files when the log is damaged — while in-flight batches
-      requeue. Mid-night the coordinator itself restarts and re-adopts
-      the live shards with journal-restored epochs. Scatter-gather
-      readers run throughout: every read is shard-complete or carries
-      an explicit partial flag naming the missing zones — never
-      silently truncated. Exits 1 unless every loadable row landed
-      exactly once in exactly the right zone with nothing corrupt
-      served.
 
   skyload serve [--seed N] [--users N] [--queries N] [--ingest-nodes N]
                 [--fast-deadline MS] [--quick] [--report out.json]
@@ -653,73 +454,14 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<i32, String
             .map_err(|e| e.to_string())?;
             Ok(0)
         }
-        Command::Chaos {
-            seed,
-            files,
-            nodes,
-            error_rate,
-            quick,
-            loader_kill_at,
-            loader_stall_at,
-            lease_ttl_ms,
+        Command::Soak {
+            config,
             report,
             metrics,
         } => {
-            let mut cfg = crate::chaos::ChaosConfig {
-                seed,
-                files,
-                nodes,
-                error_rate,
-                quick,
-                loader_kill_at,
-                loader_stall_at,
-                ..crate::chaos::ChaosConfig::default()
-            };
-            if let Some(ms) = lease_ttl_ms {
-                if ms == 0 {
-                    return Err("--lease-ttl must be at least 1 ms".into());
-                }
-                cfg.lease_ttl = std::time::Duration::from_millis(ms);
-            }
             let obs = Arc::new(skyobs::Registry::new());
-            let soak = crate::chaos::run_chaos_with_obs(&cfg, &obs)?;
-            writeln!(
-                out,
-                "chaos soak: seed {} · {} generations · {} restart(s) · {} retries · {} breaker trip(s)",
-                seed, soak.generations, soak.restarts, soak.retries, soak.breaker_trips
-            )
-            .map_err(|e| e.to_string())?;
-            writeln!(out, "faults injected:").map_err(|e| e.to_string())?;
-            for (kind, n) in &soak.faults_by_kind {
-                writeln!(out, "  {kind:<16} {n:>6}").map_err(|e| e.to_string())?;
-            }
-            writeln!(
-                out,
-                "time degraded: {:.2?} across {} ladder move(s)",
-                soak.degraded_time,
-                soak.degrade_transitions.len()
-            )
-            .map_err(|e| e.to_string())?;
-            if soak.loader_kills + soak.loader_stalls + soak.lease_reclaims > 0 {
-                writeln!(
-                    out,
-                    "fleet: {} loader kill(s) · {} stall(s) · {} lease reclaim(s) · {} fenced flush(es)",
-                    soak.loader_kills, soak.loader_stalls, soak.lease_reclaims, soak.fencing_rejections
-                )
-                .map_err(|e| e.to_string())?;
-            }
-            writeln!(
-                out,
-                "rows: {} expected, {} present, {} lost, {} duplicated",
-                soak.expected_rows, soak.actual_rows, soak.lost_rows, soak.duplicated_rows
-            )
-            .map_err(|e| e.to_string())?;
-            for m in &soak.mismatches {
-                writeln!(out, "  MISMATCH {m}").map_err(|e| e.to_string())?;
-            }
-            for f in &soak.unfinished_files {
-                writeln!(out, "  UNFINISHED {f}").map_err(|e| e.to_string())?;
-            }
+            let soak = crate::chaos::run_soak(&config, &obs)?;
+            write!(out, "{soak}").map_err(|e| e.to_string())?;
             write_telemetry_summary(out, &obs)?;
             if let Some(path) = metrics {
                 std::fs::write(&path, obs.to_jsonl())
@@ -730,16 +472,18 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<i32, String
             if let Some(path) = report {
                 std::fs::write(
                     &path,
-                    serde_json::to_string_pretty(&soak).expect("chaos report serializes"),
+                    serde_json::to_string_pretty(&soak).expect("soak report serializes"),
                 )
                 .map_err(|e| format!("write {path:?}: {e}"))?;
                 writeln!(out, "report written to {}", path.display()).map_err(|e| e.to_string())?;
             }
-            if soak.exactly_once() {
-                writeln!(out, "exactly-once: PASS").map_err(|e| e.to_string())?;
+            let failures = soak.failures();
+            if failures.is_empty() {
+                writeln!(out, "verdict: PASS").map_err(|e| e.to_string())?;
                 Ok(0)
             } else {
-                writeln!(out, "exactly-once: FAIL").map_err(|e| e.to_string())?;
+                writeln!(out, "verdict: FAIL · {}", failures.join(" · "))
+                    .map_err(|e| e.to_string())?;
                 Ok(1)
             }
         }
@@ -832,302 +576,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<i32, String
             )
             .map_err(|e| e.to_string())?;
             Ok(0)
-        }
-        Command::Campaign {
-            seed,
-            files,
-            nodes,
-            quick,
-            loader_kill_at,
-            no_swap_crash,
-            restart_server,
-            readers,
-            report,
-            metrics,
-        } => {
-            let cfg = crate::chaos::CampaignChaosConfig {
-                seed,
-                files,
-                nodes,
-                quick,
-                loader_kill_at,
-                swap_crash: !no_swap_crash,
-                restart_server,
-                readers,
-                ..crate::chaos::CampaignChaosConfig::default()
-            };
-            let obs = Arc::new(skyobs::Registry::new());
-            let r = crate::chaos::run_campaign_chaos_with_obs(&cfg, &obs)?;
-            writeln!(
-                out,
-                "campaign chaos: seed {} · {} resume(s) · {} server restart(s) · swapped: {}",
-                seed, r.campaign_resumes, r.server_restarts, r.swapped
-            )
-            .map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "live night: {} batch(es) · freshness p50={} us p95={} us p99={} us max={} us · {} SLO violation(s)",
-                r.live.batches,
-                r.live.freshness.p50_us,
-                r.live.freshness.p95_us,
-                r.live.freshness.p99_us,
-                r.live.freshness.max_us,
-                r.live.slo_violations
-            )
-            .map_err(|e| e.to_string())?;
-            writeln!(out, "faults injected:").map_err(|e| e.to_string())?;
-            for (kind, n) in &r.faults_by_kind {
-                writeln!(out, "  {kind:<16} {n:>6}").map_err(|e| e.to_string())?;
-            }
-            writeln!(
-                out,
-                "fleet: {} loader kill(s) · {} lease reclaim(s) · {} fenced operation(s)",
-                r.loader_kills, r.lease_reclaims, r.fencing_rejections
-            )
-            .map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "readers: {} scan(s) · {} old-season · {} new-season · {} torn",
-                r.reads_total, r.reads_old_season, r.reads_new_season, r.mixed_season_reads
-            )
-            .map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "rows: {} expected, {} present, {} lost, {} duplicated · {} shadow residual · {} purged",
-                r.expected_rows,
-                r.actual_rows,
-                r.lost_rows,
-                r.duplicated_rows,
-                r.shadow_residual_rows,
-                r.purged_rows
-            )
-            .map_err(|e| e.to_string())?;
-            for m in &r.mismatches {
-                writeln!(out, "  MISMATCH {m}").map_err(|e| e.to_string())?;
-            }
-            write_telemetry_summary(out, &obs)?;
-            if let Some(path) = metrics {
-                std::fs::write(&path, obs.to_jsonl())
-                    .map_err(|e| format!("write {path:?}: {e}"))?;
-                writeln!(out, "metrics written to {}", path.display())
-                    .map_err(|e| e.to_string())?;
-            }
-            if let Some(path) = report {
-                std::fs::write(
-                    &path,
-                    serde_json::to_string_pretty(&r).expect("campaign report serializes"),
-                )
-                .map_err(|e| format!("write {path:?}: {e}"))?;
-                writeln!(out, "report written to {}", path.display()).map_err(|e| e.to_string())?;
-            }
-            if r.swapped && r.exactly_once() && r.swap_atomic() {
-                writeln!(out, "exactly-once: PASS · season-atomicity: PASS")
-                    .map_err(|e| e.to_string())?;
-                Ok(0)
-            } else {
-                writeln!(
-                    out,
-                    "exactly-once: {} · season-atomicity: {}",
-                    if r.exactly_once() && r.swapped {
-                        "PASS"
-                    } else {
-                        "FAIL"
-                    },
-                    if r.swap_atomic() { "PASS" } else { "FAIL" }
-                )
-                .map_err(|e| e.to_string())?;
-                Ok(1)
-            }
-        }
-        Command::Scrub {
-            seed,
-            files,
-            nodes,
-            bit_rot,
-            scrub_interval_ms,
-            wal_rot,
-            readers,
-            quick,
-            report,
-            metrics,
-        } => {
-            let cfg = crate::chaos::ScrubChaosConfig {
-                seed,
-                files,
-                nodes,
-                rot_rate: bit_rot,
-                scrub_interval: std::time::Duration::from_millis(scrub_interval_ms),
-                wal_rot,
-                readers,
-                quick,
-                ..crate::chaos::ScrubChaosConfig::default()
-            };
-            let obs = Arc::new(skyobs::Registry::new());
-            let r = crate::chaos::run_scrub_chaos_with_obs(&cfg, &obs)?;
-            writeln!(
-                out,
-                "scrub chaos: seed {} · {} heap bit(s) rotted · wal rot: {} · {} scrub pass(es)",
-                seed, r.heap_rot_injected, r.wal_rot_injected, r.scrub_passes
-            )
-            .map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "scrubber: {} page(s) walked · {} bad record(s) · {} bad node(s) · {} quarantined",
-                r.scrub_pages, r.bad_records, r.bad_nodes, r.quarantined_rows
-            )
-            .map_err(|e| e.to_string())?;
-            if r.wal_rot_injected {
-                writeln!(
-                    out,
-                    "restart: recovered from log: {} · replay flagged corruption: {} · rebuilt from source: {}",
-                    r.recovered_from_log, r.log_replay_flagged_corruption, r.rebuilt_from_source
-                )
-                .map_err(|e| e.to_string())?;
-            }
-            writeln!(
-                out,
-                "readers: {} scan(s) · {} blocked by CRC · {} corrupt row(s) served",
-                r.reads_total, r.blocked_reads, r.corrupt_rows_served
-            )
-            .map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "repair: {} file(s) reloaded ({}) · {} row(s) restored · {} survivor(s) deduped · {} unmapped",
-                r.repair.files_reloaded.len(),
-                if r.repair.widened_for_wal_rot {
-                    "widened to full night"
-                } else {
-                    "mapped by id span"
-                },
-                r.repair.rows_restored,
-                r.repair.rows_skipped,
-                r.repair.unmapped_rows
-            )
-            .map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "rows: {} expected, {} present, {} lost, {} duplicated · {} bad after repair",
-                r.expected_rows,
-                r.actual_rows,
-                r.lost_rows,
-                r.duplicated_rows,
-                r.post_repair_bad_records
-            )
-            .map_err(|e| e.to_string())?;
-            for m in &r.mismatches {
-                writeln!(out, "  MISMATCH {m}").map_err(|e| e.to_string())?;
-            }
-            write_telemetry_summary(out, &obs)?;
-            if let Some(path) = metrics {
-                std::fs::write(&path, obs.to_jsonl())
-                    .map_err(|e| format!("write {path:?}: {e}"))?;
-                writeln!(out, "metrics written to {}", path.display())
-                    .map_err(|e| e.to_string())?;
-            }
-            if let Some(path) = report {
-                std::fs::write(
-                    &path,
-                    serde_json::to_string_pretty(&r).expect("scrub report serializes"),
-                )
-                .map_err(|e| format!("write {path:?}: {e}"))?;
-                writeln!(out, "report written to {}", path.display()).map_err(|e| e.to_string())?;
-            }
-            if r.healed() {
-                writeln!(out, "integrity: HEALED").map_err(|e| e.to_string())?;
-                Ok(0)
-            } else {
-                writeln!(out, "integrity: FAIL").map_err(|e| e.to_string())?;
-                Ok(1)
-            }
-        }
-        Command::ShardChaos {
-            seed,
-            files,
-            shards,
-            readers,
-            quick,
-            shard_kill_at,
-            shard_stall_at,
-            lease_ttl_ms,
-            no_restart_coordinator,
-            report,
-            metrics,
-        } => {
-            let mut cfg = crate::chaos::ShardChaosConfig {
-                seed,
-                files,
-                shards,
-                readers,
-                quick,
-                shard_kill_at,
-                shard_stall_at,
-                restart_coordinator: !no_restart_coordinator,
-                ..crate::chaos::ShardChaosConfig::default()
-            };
-            if let Some(ms) = lease_ttl_ms {
-                if ms == 0 {
-                    return Err("--lease-ttl must be at least 1 ms".into());
-                }
-                cfg.lease_ttl = std::time::Duration::from_millis(ms);
-            }
-            let obs = Arc::new(skyobs::Registry::new());
-            let r = crate::chaos::run_shard_chaos_with_obs(&cfg, &obs)?;
-            writeln!(
-                out,
-                "shard chaos: seed {} · {} zone(s) · {} shard kill(s) · {} stall(s) · {} coordinator restart(s)",
-                seed, shards, r.shard_kills, r.shard_stalls, r.coordinator_restarts
-            )
-            .map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "supervisor: {} reclaim(s) · {} rebuild(s) · {} fenced flush(es) · {} requeue(s)",
-                r.reclaims, r.rebuilds, r.fenced_flushes, r.requeues
-            )
-            .map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "readers: {} scan(s) · {} flagged partial (never silent) · {} corrupt row(s) served",
-                r.reads_total, r.partial_reads, r.corrupt_rows_served
-            )
-            .map_err(|e| e.to_string())?;
-            writeln!(out, "faults injected:").map_err(|e| e.to_string())?;
-            for (kind, n) in &r.faults_by_kind {
-                writeln!(out, "  {kind:<16} {n:>6}").map_err(|e| e.to_string())?;
-            }
-            for (z, n) in r.per_zone_rows.iter().enumerate() {
-                writeln!(out, "  zone {z}: {n} objects row(s)").map_err(|e| e.to_string())?;
-            }
-            writeln!(
-                out,
-                "rows: {} expected, {} present, {} lost, {} duplicated",
-                r.expected_rows, r.actual_rows, r.lost_rows, r.duplicated_rows
-            )
-            .map_err(|e| e.to_string())?;
-            for m in &r.mismatches {
-                writeln!(out, "  MISMATCH {m}").map_err(|e| e.to_string())?;
-            }
-            write_telemetry_summary(out, &obs)?;
-            if let Some(path) = metrics {
-                std::fs::write(&path, obs.to_jsonl())
-                    .map_err(|e| format!("write {path:?}: {e}"))?;
-                writeln!(out, "metrics written to {}", path.display())
-                    .map_err(|e| e.to_string())?;
-            }
-            if let Some(path) = report {
-                std::fs::write(
-                    &path,
-                    serde_json::to_string_pretty(&r).expect("shard chaos report serializes"),
-                )
-                .map_err(|e| format!("write {path:?}: {e}"))?;
-                writeln!(out, "report written to {}", path.display()).map_err(|e| e.to_string())?;
-            }
-            if r.exactly_once() {
-                writeln!(out, "exactly-once: PASS").map_err(|e| e.to_string())?;
-                Ok(0)
-            } else {
-                writeln!(out, "exactly-once: FAIL").map_err(|e| e.to_string())?;
-                Ok(1)
-            }
         }
         Command::Serve {
             seed,
@@ -1765,126 +1213,133 @@ mod tests {
     }
 
     #[test]
-    fn parse_chaos_flags() {
-        match parse_args(&args("chaos --seed 3 --files 2 --nodes 2 --quick")).unwrap() {
-            Command::Chaos {
-                seed,
-                files,
-                nodes,
-                quick,
-                report,
-                ..
+    fn parse_soak_flags() {
+        for preset in Preset::ALL {
+            match parse_args(&args(preset.name())).unwrap() {
+                Command::Soak {
+                    config,
+                    report,
+                    metrics,
+                } => {
+                    assert_eq!(config, SoakConfig::new(preset));
+                    assert_eq!((report, metrics), (None, None));
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        let soak = |line: &str| match parse_args(&args(line)).unwrap() {
+            Command::Soak { config, .. } => config,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(
+            soak("chaos --seed 3 --files 2 --nodes 2 --quick --loader-kill 1 --loader-stall 2"),
+            SoakConfig {
+                seed: 3,
+                files: 2,
+                nodes: 2,
+                quick: true,
+                loader_kill_at: Some(1),
+                loader_stall_at: Some(2),
+                ..SoakConfig::new(Preset::Chaos)
+            }
+        );
+        let campaign = soak("campaign --seed 8 --restart-server");
+        assert!(campaign.restart_server);
+        assert_eq!(campaign.loader_kill_at, Some(2), "default kills a loader");
+        assert!(soak("scrub --wal-rot").wal_rot);
+        assert_eq!(soak("shard-chaos --nodes 2").nodes, 2);
+        match parse_args(&args("chaos --quick --metrics m.jsonl --report r.json")).unwrap() {
+            Command::Soak {
+                report, metrics, ..
             } => {
-                assert_eq!((seed, files, nodes, quick), (3, 2, 2, true));
-                assert_eq!(report, None);
+                assert_eq!(report, Some(PathBuf::from("r.json")));
+                assert_eq!(metrics, Some(PathBuf::from("m.jsonl")));
             }
             other => panic!("{other:?}"),
         }
-        match parse_args(&args("chaos")).unwrap() {
-            Command::Chaos { quick, .. } => assert!(!quick),
-            other => panic!("{other:?}"),
+        for bad in [
+            "chaos --wal-rot",
+            "scrub --restart-server",
+            "shard-chaos --loader-kill 1",
+            "shard-chaos --nodes 0",
+            "chaos --lease-ttl 250",
+            "scrub --bit-rot 0.5",
+            "chaos --seed soon",
+        ] {
+            assert!(parse_args(&args(bad)).is_err(), "{bad} parsed");
         }
     }
 
     #[test]
-    fn chaos_command_runs_quick_soak() {
+    fn soak_commands_pass_and_write_reports() {
         let _soak = SOAK_LOCK.lock();
-        let dir = tmpdir("chaos");
-        let report_path = dir.join("chaos.json");
-        let mut buf = Vec::new();
-        let code = execute(
-            parse_args(&args(&format!(
-                "chaos --seed 11 --files 3 --nodes 2 --quick --report {}",
-                report_path.display()
-            )))
-            .unwrap(),
-            &mut buf,
-        )
-        .unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("exactly-once: PASS"), "{text}");
-        assert!(text.contains("faults injected:"), "{text}");
-        assert!(report_path.exists());
-        let json = std::fs::read_to_string(&report_path).unwrap();
-        assert!(json.contains("\"faults_by_kind\""), "{json}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn parse_shard_chaos_flags() {
-        match parse_args(&args(
-            "shard-chaos --seed 5 --files 4 --shards 2 --readers 3 --quick \
-             --shard-kill 2 --shard-stall 3 --lease-ttl 80 --no-restart-coordinator",
-        ))
-        .unwrap()
-        {
-            Command::ShardChaos {
-                seed,
-                files,
-                shards,
-                readers,
-                quick,
-                shard_kill_at,
-                shard_stall_at,
-                lease_ttl_ms,
-                no_restart_coordinator,
-                ..
-            } => {
-                assert_eq!((seed, files, shards, readers), (5, 4, 2, 3));
-                assert!(quick && no_restart_coordinator);
-                assert_eq!(shard_kill_at, Some(2));
-                assert_eq!(shard_stall_at, Some(3));
-                assert_eq!(lease_ttl_ms, Some(80));
+        // (command line, summary text, report JSON, metrics counters)
+        type Needles = &'static [&'static str];
+        let rows: [(&str, Needles, Needles, Needles); 4] = [
+            (
+                "chaos --seed 11 --files 3 --nodes 2 --quick",
+                &["faults injected:"],
+                &["\"faults_by_kind\""],
+                &["retries", "breaker_trips", "fleet.reclaims"],
+            ),
+            (
+                "shard-chaos --seed 2005 --files 3 --quick",
+                &["soak shard-chaos: seed 2005"],
+                &["\"per_zone_rows\""],
+                &["shard.reclaims", "shard.rebuilds", "shard.gather.queries"],
+            ),
+            (
+                "scrub --seed 71 --quick",
+                &["corrupt row(s) served"],
+                &["\"bad_records\"", "\"files_reloaded\""],
+                &[
+                    "scrub.pages",
+                    "scrub.bad_records",
+                    "scrub.quarantined",
+                    "repair.files_reloaded",
+                    "repair.rows_restored",
+                ],
+            ),
+            (
+                "campaign --seed 23 --quick",
+                &["swapped: true", "swap_crash"],
+                &["\"mixed_season\": 0", "\"resumes\": 1"],
+                &["live.freshness_us", "campaign.swaps"],
+            ),
+        ];
+        for (line, text_has, json_has, counters) in rows {
+            let dir = tmpdir("soak");
+            let (report_path, metrics_path) = (dir.join("soak.json"), dir.join("soak.jsonl"));
+            let mut buf = Vec::new();
+            let code = execute(
+                parse_args(&args(&format!(
+                    "{line} --report {} --metrics {}",
+                    report_path.display(),
+                    metrics_path.display()
+                )))
+                .unwrap(),
+                &mut buf,
+            )
+            .unwrap();
+            let text = String::from_utf8(buf).unwrap();
+            assert_eq!(code, 0, "{line}: {text}");
+            assert!(text.contains("verdict: PASS"), "{line}: {text}");
+            for needle in text_has {
+                assert!(text.contains(needle), "{line}: no {needle:?} in {text}");
             }
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&args("shard-chaos")).unwrap() {
-            Command::ShardChaos {
-                shards,
-                shard_kill_at,
-                shard_stall_at,
-                no_restart_coordinator,
-                ..
-            } => {
-                assert_eq!(shards, 3);
-                assert!(shard_kill_at.is_some(), "default kills a shard");
-                assert!(shard_stall_at.is_some(), "default stalls a shard");
-                assert!(!no_restart_coordinator, "restart is on by default");
+            let json = std::fs::read_to_string(&report_path).unwrap();
+            for needle in json_has {
+                assert!(json.contains(needle), "{line}: no {needle:?} in {json}");
             }
-            other => panic!("{other:?}"),
+            let jsonl = std::fs::read_to_string(&metrics_path).unwrap();
+            for counter in counters {
+                assert!(
+                    jsonl.contains(counter),
+                    "{line}: missing {counter} in {jsonl}"
+                );
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        assert!(parse_args(&args("shard-chaos --shards 0")).is_err());
-    }
-
-    #[test]
-    fn shard_chaos_command_runs_quick_soak() {
-        let _soak = SOAK_LOCK.lock();
-        let dir = tmpdir("shard-chaos");
-        let report_path = dir.join("shard.json");
-        let metrics_path = dir.join("shard.jsonl");
-        let mut buf = Vec::new();
-        let code = execute(
-            parse_args(&args(&format!(
-                "shard-chaos --seed 2005 --files 3 --shards 3 --quick --report {} --metrics {}",
-                report_path.display(),
-                metrics_path.display()
-            )))
-            .unwrap(),
-            &mut buf,
-        )
-        .unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("exactly-once: PASS"), "{text}");
-        assert!(text.contains("shard chaos: seed 2005"), "{text}");
-        let json = std::fs::read_to_string(&report_path).unwrap();
-        assert!(json.contains("\"per_zone_rows\""), "{json}");
-        let jsonl = std::fs::read_to_string(&metrics_path).unwrap();
-        for counter in ["shard.reclaims", "shard.rebuilds", "shard.gather.queries"] {
-            assert!(jsonl.contains(counter), "missing {counter} in {jsonl}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1926,79 +1381,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_scrub_flags() {
-        match parse_args(&args(
-            "scrub --seed 9 --files 2 --nodes 2 --bit-rot 0.5 --scrub-interval 20 --wal-rot --readers 3 --quick",
-        ))
-        .unwrap()
-        {
-            Command::Scrub {
-                seed,
-                files,
-                nodes,
-                bit_rot,
-                scrub_interval_ms,
-                wal_rot,
-                readers,
-                quick,
-                ..
-            } => {
-                assert_eq!((seed, files, nodes, readers), (9, 2, 2, 3));
-                assert_eq!(bit_rot, 0.5);
-                assert_eq!(scrub_interval_ms, 20);
-                assert!(wal_rot && quick);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&args("scrub")).unwrap() {
-            Command::Scrub { wal_rot, quick, .. } => assert!(!wal_rot && !quick),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&args("scrub --scrub-interval 0")).is_err());
-    }
-
-    #[test]
-    fn scrub_command_heals_and_dumps_metrics() {
-        let _soak = SOAK_LOCK.lock();
-        let dir = tmpdir("scrub");
-        let report_path = dir.join("scrub.json");
-        let metrics_path = dir.join("metrics.jsonl");
-        let mut buf = Vec::new();
-        let code = execute(
-            parse_args(&args(&format!(
-                "scrub --seed 71 --quick --report {} --metrics {}",
-                report_path.display(),
-                metrics_path.display()
-            )))
-            .unwrap(),
-            &mut buf,
-        )
-        .unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("integrity: HEALED"), "{text}");
-        assert!(text.contains("corrupt row(s) served"), "{text}");
-
-        // The JSON report and the JSONL metrics dump agree: the scrub.*
-        // and repair.* counters the report is a view over are present.
-        let json = std::fs::read_to_string(&report_path).unwrap();
-        assert!(json.contains("\"bad_records\""), "{json}");
-        assert!(json.contains("\"files_reloaded\""), "{json}");
-        let jsonl = std::fs::read_to_string(&metrics_path).unwrap();
-        for counter in [
-            "scrub.pages",
-            "scrub.bad_records",
-            "scrub.quarantined",
-            "repair.files_reloaded",
-            "repair.rows_restored",
-        ] {
-            assert!(jsonl.contains(counter), "missing {counter} in {jsonl}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn parse_live_and_campaign_flags() {
+    fn parse_live_flags() {
         match parse_args(&args(
             "live --seed 4 --files 6 --nodes 2 --mean-interarrival 20 --slo-budget 900 --quick",
         ))
@@ -2020,27 +1403,6 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(parse_args(&args("live --slo-budget 0")).is_err());
-        match parse_args(&args("campaign --seed 8 --restart-server --readers 5")).unwrap() {
-            Command::Campaign {
-                seed,
-                no_swap_crash,
-                restart_server,
-                readers,
-                loader_kill_at,
-                ..
-            } => {
-                assert_eq!(seed, 8);
-                assert!(!no_swap_crash, "swap crash is on by default");
-                assert!(restart_server);
-                assert_eq!(readers, 5);
-                assert!(loader_kill_at.is_some(), "default kills a loader");
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&args("campaign --no-swap-crash")).unwrap() {
-            Command::Campaign { no_swap_crash, .. } => assert!(no_swap_crash),
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]
@@ -2070,40 +1432,6 @@ mod tests {
         let jsonl = std::fs::read_to_string(&metrics_path).unwrap();
         assert!(jsonl.contains("live.freshness_us"), "{jsonl}");
         assert!(jsonl.contains("live.batches"), "{jsonl}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn campaign_command_survives_quick_chaos() {
-        let _soak = SOAK_LOCK.lock();
-        let dir = tmpdir("campaign");
-        let report_path = dir.join("campaign.json");
-        let metrics_path = dir.join("campaign.jsonl");
-        let mut buf = Vec::new();
-        let code = execute(
-            parse_args(&args(&format!(
-                "campaign --seed 23 --quick --report {} --metrics {}",
-                report_path.display(),
-                metrics_path.display()
-            )))
-            .unwrap(),
-            &mut buf,
-        )
-        .unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(code, 0, "{text}");
-        assert!(
-            text.contains("exactly-once: PASS · season-atomicity: PASS"),
-            "{text}"
-        );
-        assert!(text.contains("swapped: true"), "{text}");
-        assert!(text.contains("swap_crash"), "{text}");
-        let json = std::fs::read_to_string(&report_path).unwrap();
-        assert!(json.contains("\"mixed_season_reads\": 0"), "{json}");
-        assert!(json.contains("\"campaign_resumes\": 1"), "{json}");
-        let jsonl = std::fs::read_to_string(&metrics_path).unwrap();
-        assert!(jsonl.contains("live.freshness_us"), "{jsonl}");
-        assert!(jsonl.contains("campaign.swaps"), "{jsonl}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2183,10 +1511,6 @@ mod tests {
             Command::Load { metrics, .. } => assert_eq!(metrics, Some(PathBuf::from("m.jsonl"))),
             other => panic!("{other:?}"),
         }
-        match parse_args(&args("chaos --quick --metrics m.jsonl")).unwrap() {
-            Command::Chaos { metrics, .. } => assert_eq!(metrics, Some(PathBuf::from("m.jsonl"))),
-            other => panic!("{other:?}"),
-        }
         match parse_args(&args("inspect m.jsonl --top-spans 5")).unwrap() {
             Command::Inspect {
                 file,
@@ -2208,26 +1532,27 @@ mod tests {
         // The acceptance check in miniature: the JSONL dump and the chaos
         // report are two views over one registry, so the headline counters
         // must agree exactly, line for line.
-        let cfg = crate::chaos::ChaosConfig {
+        let cfg = SoakConfig {
             seed: 11,
             files: 3,
             nodes: 2,
             quick: true,
-            ..crate::chaos::ChaosConfig::default()
+            ..SoakConfig::new(Preset::Chaos)
         };
         let obs = Arc::new(skyobs::Registry::new());
-        let soak = crate::chaos::run_chaos_with_obs(&cfg, &obs).unwrap();
+        let soak = crate::chaos::run_soak(&cfg, &obs).unwrap();
+        let i = &soak.ingest;
         let jsonl = obs.to_jsonl();
         let line = |name: &str, value: u64| {
             format!("{{\"type\":\"counter\",\"name\":\"{name}\",\"value\":{value}}}")
         };
         for (name, value) in [
-            ("retries", soak.retries),
-            ("breaker_trips", soak.breaker_trips),
-            ("loader_kills", soak.loader_kills),
-            ("loader_stalls", soak.loader_stalls),
-            ("fleet.reclaims", soak.lease_reclaims),
-            ("fleet.fence_rejections", soak.fencing_rejections),
+            ("retries", i.retries),
+            ("breaker_trips", i.breaker_trips),
+            ("loader_kills", i.loader_kills),
+            ("loader_stalls", i.loader_stalls),
+            ("fleet.reclaims", i.lease_reclaims),
+            ("fleet.fence_rejections", i.fencing_rejections),
         ] {
             assert!(
                 jsonl.lines().any(|l| l == line(name, value)),

@@ -72,12 +72,7 @@ pub use campaign::{
     resume_campaign, roll_back_campaign, run_campaign, CampaignConfig, CampaignManifest,
     CampaignPhase, CampaignReport,
 };
-pub use chaos::{
-    run_campaign_chaos, run_campaign_chaos_with_obs, run_chaos, run_chaos_with_obs,
-    run_scrub_chaos, run_scrub_chaos_with_obs, run_shard_chaos, run_shard_chaos_with_obs,
-    CampaignChaosConfig, CampaignChaosReport, ChaosConfig, ChaosReport, ScrubChaosConfig,
-    ScrubChaosReport, ShardChaosConfig, ShardChaosReport,
-};
+pub use chaos::{run_soak, Preset, SoakConfig, SoakReport};
 pub use config::{CommitPolicy, ExecMode, LoaderConfig, PipelineMode};
 pub use fleet::{Assignment, FleetPolicy, FleetSupervisor, Lease};
 pub use live::{run_live, LiveConfig, LiveReport};

@@ -883,16 +883,20 @@ mod tests {
         let group = build_group(2, &obs);
         // Raise zone 0's fence floor on the server *behind the group's
         // back*: the loader's write_fence (epoch 0) is now stale, so its
-        // first flush classifies Fenced and requeues. Half-way through
-        // the requeue pauses, the coordinator "learns" the newer epoch —
-        // exactly what restore_epoch does after a restart — and the
-        // retried flush lands under the refreshed fence.
+        // first flush classifies Fenced and requeues. Once that rejection
+        // is counted, the coordinator "learns" the newer epoch — exactly
+        // what restore_epoch does after a restart — and the retried flush
+        // lands under the refreshed fence.
         group
             .server(0)
             .advance_fence(skydb::shard::shard_fence_key(0), 1);
         let g2 = group.clone();
+        let fenced = obs.counter("shard.fenced_flushes");
         let heal = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while fenced.get() < 1 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
             g2.restore_epoch(0, 1);
         });
         let loader = ShardLoader::new(group.clone(), ShardLoadConfig::default(), &obs);

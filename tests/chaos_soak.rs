@@ -3,30 +3,32 @@
 //! disk-full commits, batch corruption, one crash-on-flush), asserting
 //! exactly-once row delivery against the generator's ground truth.
 
-use skyloader::{run_chaos, ChaosConfig};
+use std::sync::Arc;
+
+use skyloader::{run_soak, Preset, SoakConfig, SoakReport};
+
+fn run_chaos(cfg: &SoakConfig) -> Result<SoakReport, String> {
+    run_soak(cfg, &Arc::new(skyobs::Registry::new()))
+}
 
 #[test]
 fn full_night_survives_a_multi_kind_fault_plan_exactly_once() {
-    let cfg = ChaosConfig {
-        seed: 2005,
-        files: 6,
-        nodes: 3,
-        error_rate: 0.02,
-        quick: false,
-        ..ChaosConfig::default()
-    };
+    let cfg = SoakConfig::new(Preset::Chaos);
+    assert_eq!(
+        (cfg.seed, cfg.files, cfg.nodes, cfg.quick),
+        (2005, 6, 3, false)
+    );
     let report = run_chaos(&cfg).expect("soak runs");
     assert!(
-        report.exactly_once(),
-        "lost={} duplicated={} unfinished={:?} mismatches={:?}",
-        report.lost_rows,
-        report.duplicated_rows,
-        report.unfinished_files,
-        report.mismatches
+        report.passed(),
+        "{:?} unfinished={:?} mismatches={:?}",
+        report.failures(),
+        report.ingest.unfinished_files,
+        report.rows.mismatches
     );
     // The crash-on-flush downed the server at least once and the load
     // still converged through log recovery + journal resume.
-    assert!(report.restarts >= 1, "crash-on-flush never fired");
+    assert!(report.ingest.restarts >= 1, "crash-on-flush never fired");
     // The plan exercised a genuinely multi-kind schedule.
     assert!(
         report.fault_kinds_fired() >= 4,
@@ -39,7 +41,7 @@ fn full_night_survives_a_multi_kind_fault_plan_exactly_once() {
         report.faults_by_kind
     );
     // The client-side resilience layer did real work.
-    assert!(report.retries > 0);
+    assert!(report.ingest.retries > 0);
 }
 
 #[test]
@@ -50,29 +52,28 @@ fn killed_loader_hands_its_file_to_the_fleet_exactly_once() {
     // file from the journal watermark, and every loadable row must land
     // exactly once — on three distinct fixed seeds.
     for seed in [2005u64, 11, 77] {
-        let cfg = ChaosConfig {
+        let cfg = SoakConfig {
             seed,
             files: 4,
             nodes: 2,
             quick: true,
             loader_kill_at: Some(1),
-            ..ChaosConfig::default()
+            ..SoakConfig::new(Preset::Chaos)
         };
         let report = run_chaos(&cfg).expect("soak runs");
         assert!(
-            report.exactly_once(),
-            "seed {seed}: lost={} duplicated={} unfinished={:?} mismatches={:?}",
-            report.lost_rows,
-            report.duplicated_rows,
-            report.unfinished_files,
-            report.mismatches
+            report.passed(),
+            "seed {seed}: {:?} unfinished={:?} mismatches={:?}",
+            report.failures(),
+            report.ingest.unfinished_files,
+            report.rows.mismatches
         );
         assert!(
-            report.loader_kills >= 1,
+            report.ingest.loader_kills >= 1,
             "seed {seed}: the loader kill never fired"
         );
         assert!(
-            report.lease_reclaims >= 1,
+            report.ingest.lease_reclaims >= 1,
             "seed {seed}: the killed loader's lease was never reclaimed"
         );
         assert!(
@@ -89,28 +90,27 @@ fn chaos_schedule_is_a_pure_function_of_the_seed() {
     // counters, retry counts and generation structure must be identical
     // across runs with the same seed, and must diverge across seeds.
     let run = |seed| {
-        run_chaos(&ChaosConfig {
+        run_chaos(&SoakConfig {
             seed,
             files: 3,
             nodes: 1,
-            error_rate: 0.02,
             quick: true,
-            ..ChaosConfig::default()
+            ..SoakConfig::new(Preset::Chaos)
         })
         .expect("soak runs")
     };
     let a = run(77);
     let b = run(77);
     assert_eq!(a.faults_by_kind, b.faults_by_kind);
-    assert_eq!(a.retries, b.retries);
-    assert_eq!(a.breaker_trips, b.breaker_trips);
-    assert_eq!(a.generations, b.generations);
-    assert_eq!(a.restarts, b.restarts);
-    assert!(a.exactly_once());
+    assert_eq!(a.ingest.retries, b.ingest.retries);
+    assert_eq!(a.ingest.breaker_trips, b.ingest.breaker_trips);
+    assert_eq!(a.ingest.generations, b.ingest.generations);
+    assert_eq!(a.ingest.restarts, b.ingest.restarts);
+    assert!(a.passed());
 
     let c = run(78);
     assert!(
-        c.faults_by_kind != a.faults_by_kind || c.retries != a.retries,
+        c.faults_by_kind != a.faults_by_kind || c.ingest.retries != a.ingest.retries,
         "different seeds produced an identical schedule"
     );
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use skydb::{DbConfig, Server};
-use skyloader::{run_chaos_with_obs, ChaosConfig, LoaderConfig};
+use skyloader::{run_soak, LoaderConfig, Preset, SoakConfig};
 
 fn fresh_server() -> Arc<Server> {
     let server = Server::start(DbConfig::test());
@@ -56,17 +56,17 @@ proptest! {
     #[test]
     fn span_ring_stays_bounded_under_chaos(seed in 0u64..64) {
         let obs = Arc::new(skyobs::Registry::with_span_capacity(32));
-        let cfg = ChaosConfig {
+        let cfg = SoakConfig {
             seed,
             files: 2,
             nodes: 2,
             quick: true,
             loader_kill_at: Some(1),
             loader_stall_at: Some(2),
-            ..ChaosConfig::default()
+            ..SoakConfig::new(Preset::Chaos)
         };
-        let report = run_chaos_with_obs(&cfg, &obs).unwrap();
-        prop_assert!(report.exactly_once(), "soak lost rows: {:?}", report.mismatches);
+        let report = run_soak(&cfg, &obs).unwrap();
+        prop_assert!(report.passed(), "soak failed: {:?} {:?}", report.failures(), report.rows.mismatches);
         prop_assert!(
             obs.spans().len() <= obs.span_capacity(),
             "ring holds {} spans over its bound of {}",
