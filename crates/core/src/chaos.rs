@@ -287,11 +287,7 @@ fn soak_loader(seed: u64) -> LoaderConfig {
                 .with_seed(seed)
                 .with_call_timeout(Duration::from_millis(10)),
         )
-        .with_fleet(
-            crate::fleet::FleetPolicy::default()
-                .with_lease_ttl(LEASE_TTL)
-                .with_heartbeat_interval(LEASE_TTL / 4),
-        )
+        .with_fleet(crate::fleet::FleetPolicy::default().with_lease_ttl(LEASE_TTL))
 }
 
 /// Huge fast deadline: no demotions, so no MyDB result tables are created

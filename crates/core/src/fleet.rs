@@ -1,4 +1,4 @@
-//! Loader-fleet supervision: lease-fenced dynamic assignment.
+//! Loader-fleet supervision: one lease table for every loader night.
 //!
 //! §4.4's dynamic on-the-fly assignment trusted every Condor node to either
 //! finish its file or die loudly. Real fleets misbehave in two quieter
@@ -23,6 +23,14 @@
 //!   ([`LoadJournal::record_epoch`](crate::recovery::LoadJournal::record_epoch))
 //!   lets a restarted coordinator issue strictly newer epochs.
 //!
+//! The table is the only thing that decides what a loader does next, under
+//! either grant policy: **dynamic** assignment draws every file from one
+//! shared queue, and **static** assignment (the baseline §4.4 argues
+//! against) pins file *i* to node *i mod nodes*, sending only returned and
+//! reclaimed files through the shared queue. A loader with nothing
+//! grantable blocks in [`FleetSupervisor::next_assignment`] until a file is
+//! requeued, every file is settled, or the earliest lease deadline passes.
+//!
 //! Two per-file budgets bound reassignment, replacing an unbounded
 //! requeue loop: a tight **reclaim** budget for leases that expire (a
 //! file whose holders keep dying is cursed) and a larger **requeue**
@@ -32,8 +40,9 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
+use skysim::cluster::AssignmentPolicy;
 
 /// A granted right to load one file: valid only while the supervisor's
 /// lease for `file_idx` still carries this `epoch`.
@@ -48,22 +57,11 @@ pub struct Lease {
     pub epoch: u64,
 }
 
-/// What [`FleetSupervisor::next_assignment`] hands a worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Assignment {
-    /// Load this file under this lease.
-    Grant(Lease),
-    /// Nothing grantable right now, but leases are outstanding — poll
-    /// again shortly (one of them may expire and requeue its file).
-    Wait,
-    /// Every file is completed or abandoned; the worker may exit.
-    Done,
-}
-
-/// Lease-TTL / heartbeat / reclaim knobs for the fleet supervisor.
+/// Lease-TTL / reclaim / requeue knobs for the fleet supervisor.
 ///
 /// Serialized with the loader configuration; every field has a default so
-/// configuration files written before this layer existed stay valid.
+/// configuration files written before this layer existed stay valid, and
+/// unknown fields are ignored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct FleetPolicy {
@@ -71,28 +69,21 @@ pub struct FleetPolicy {
     /// are reclaimed: epoch bumped, fence advanced, file requeued.
     #[serde(with = "duration_micros", default = "default_lease_ttl")]
     pub lease_ttl: Duration,
-    /// How often a healthy holder renews its lease. Must be shorter than
-    /// the TTL (by enough slack to absorb scheduling hiccups).
-    #[serde(with = "duration_micros", default = "default_heartbeat_interval")]
-    pub heartbeat_interval: Duration,
     /// How many times one file's lease may expire (holder presumed dead)
     /// before the file is reported failed.
     #[serde(default = "default_max_reclaims")]
     pub max_reclaims_per_file: u64,
     /// How many times one file may be voluntarily returned (circuit
-    /// breaker tripped, connection quarantined) before it is reported
-    /// failed. Returns are part of healthy retry traffic on a flaky
-    /// link, so this budget is much larger than the reclaim budget.
+    /// breaker tripped) before it is reported failed. Returns are part of
+    /// healthy retry traffic on a flaky link, so this budget is much
+    /// larger than the reclaim budget. A loader also waits out at most
+    /// this many write conflicts on one grant.
     #[serde(default = "default_max_requeues")]
     pub max_requeues_per_file: u64,
 }
 
 fn default_lease_ttl() -> Duration {
     FleetPolicy::default().lease_ttl
-}
-
-fn default_heartbeat_interval() -> Duration {
-    FleetPolicy::default().heartbeat_interval
 }
 
 fn default_max_reclaims() -> u64 {
@@ -107,7 +98,6 @@ impl Default for FleetPolicy {
     fn default() -> Self {
         FleetPolicy {
             lease_ttl: Duration::from_secs(30),
-            heartbeat_interval: Duration::from_secs(10),
             max_reclaims_per_file: 8,
             max_requeues_per_file: 64,
         }
@@ -118,12 +108,6 @@ impl FleetPolicy {
     /// Builder: lease TTL.
     pub fn with_lease_ttl(mut self, ttl: Duration) -> Self {
         self.lease_ttl = ttl;
-        self
-    }
-
-    /// Builder: heartbeat interval.
-    pub fn with_heartbeat_interval(mut self, hb: Duration) -> Self {
-        self.heartbeat_interval = hb;
         self
     }
 
@@ -143,9 +127,6 @@ impl FleetPolicy {
     pub fn validate(&self) -> Result<(), String> {
         if self.lease_ttl.is_zero() {
             return Err("fleet.lease_ttl must be positive".into());
-        }
-        if self.heartbeat_interval >= self.lease_ttl {
-            return Err("fleet.heartbeat_interval must be shorter than lease_ttl".into());
         }
         if self.max_reclaims_per_file == 0 {
             return Err("fleet.max_reclaims_per_file must be positive".into());
@@ -192,7 +173,7 @@ enum LeaseEnd {
     Returned,
 }
 
-/// A file the supervisor gave up on: its reclaim budget is spent.
+/// A file the supervisor gave up on: its reclaim or requeue budget is spent.
 #[derive(Debug, Clone)]
 pub struct AbandonedFile {
     /// Index into the night's file list.
@@ -208,25 +189,50 @@ struct FileState {
     /// Last epoch issued for this file (0 = never granted; restarts seed
     /// this from the journal manifest so new grants are strictly newer).
     epoch: u64,
-    /// Node index currently holding the lease, if any.
-    holder: Option<usize>,
-    /// Wall-clock instant the current lease expires.
+    /// When the current lease expires; `None` while no lease is held.
     deadline: Option<Instant>,
     /// How many times this file's lease expired (holder presumed dead).
     reclaims: u64,
     /// How many times the holder voluntarily returned the file.
     returns: u64,
-    done: bool,
+}
+
+impl FileState {
+    /// True while `lease` is this file's current, unexpired grant.
+    fn held_by(&self, lease: &Lease) -> bool {
+        self.epoch == lease.epoch && self.deadline.is_some()
+    }
 }
 
 #[derive(Debug)]
 struct SupervisorInner {
-    queue: VecDeque<usize>,
+    /// Per-node queues under static assignment (file *i* in queue
+    /// *i mod nodes*); empty under dynamic assignment.
+    pinned: Vec<VecDeque<usize>>,
+    /// The shared queue: every file under dynamic assignment, and every
+    /// returned or reclaimed file under either policy.
+    shared: VecDeque<usize>,
     states: Vec<FileState>,
     /// Leases currently held (granted, not yet completed/reclaimed).
     outstanding: usize,
-    /// Files whose reclaim budget ran out.
+    /// Files whose reclaim or requeue budget ran out.
     abandoned: Vec<AbandonedFile>,
+}
+
+impl SupervisorInner {
+    fn next_file_for(&mut self, node: usize) -> Option<usize> {
+        self.pinned
+            .get_mut(node)
+            .and_then(VecDeque::pop_front)
+            .or_else(|| self.shared.pop_front())
+    }
+
+    /// Every file completed or abandoned: nothing left to grant, ever.
+    fn settled(&self) -> bool {
+        self.outstanding == 0
+            && self.shared.is_empty()
+            && self.pinned.iter().all(VecDeque::is_empty)
+    }
 }
 
 /// The coordinator-side lease table for one night's file list.
@@ -239,6 +245,10 @@ struct SupervisorInner {
 pub struct FleetSupervisor {
     policy: FleetPolicy,
     inner: Mutex<SupervisorInner>,
+    /// Signalled whenever the table changes in a way a blocked worker may
+    /// act on: a grant (new earliest deadline), a completion, a return or
+    /// a reclaim.
+    changed: Condvar,
     grants: skyobs::CounterHandle,
     reclaims: skyobs::CounterHandle,
     advance_fence: Box<dyn Fn(u64, u64) + Send + Sync>,
@@ -255,67 +265,72 @@ impl std::fmt::Debug for FleetSupervisor {
 }
 
 impl FleetSupervisor {
-    /// Build a supervisor over `files` (name, initial epoch) pairs. The
-    /// initial epoch is the newest epoch ever issued for the file (from
-    /// the journal manifest, max-merged with the server's fence floor);
-    /// the first grant uses `initial + 1`. `advance_fence` pushes
-    /// `(key, min_valid_epoch)` to the database server.
+    /// Build a supervisor over `files` (name, initial epoch) pairs for a
+    /// fleet of `nodes` loaders granting under `assignment`. The initial
+    /// epoch is the newest epoch ever issued for the file (from the
+    /// journal manifest, max-merged with the server's fence floor); the
+    /// first grant uses `initial + 1`. The grant/reclaim counters register
+    /// in `obs` (`fleet.grants` / `fleet.reclaims`), and `advance_fence`
+    /// pushes `(key, min_valid_epoch)` to the database server.
     pub fn new(
         files: &[(String, u64)],
         policy: FleetPolicy,
-        advance_fence: impl Fn(u64, u64) + Send + Sync + 'static,
-    ) -> FleetSupervisor {
-        FleetSupervisor::new_with_obs(files, policy, advance_fence, &skyobs::Registry::new())
-    }
-
-    /// Like [`FleetSupervisor::new`], but registering the grant/reclaim
-    /// counters in `obs` (`fleet.grants` / `fleet.reclaims`) so the
-    /// coordinator's registry snapshot covers the fleet.
-    pub fn new_with_obs(
-        files: &[(String, u64)],
-        policy: FleetPolicy,
-        advance_fence: impl Fn(u64, u64) + Send + Sync + 'static,
+        assignment: AssignmentPolicy,
+        nodes: usize,
         obs: &skyobs::Registry,
+        advance_fence: impl Fn(u64, u64) + Send + Sync + 'static,
     ) -> FleetSupervisor {
         let states = files
             .iter()
             .map(|(name, epoch)| FileState {
                 key: fence_key(name),
                 epoch: *epoch,
-                holder: None,
                 deadline: None,
                 reclaims: 0,
                 returns: 0,
-                done: false,
             })
             .collect();
+        let (pinned, shared) = match assignment {
+            AssignmentPolicy::Dynamic => (Vec::new(), (0..files.len()).collect()),
+            AssignmentPolicy::Static => {
+                let nodes = nodes.max(1);
+                let pinned = (0..nodes)
+                    .map(|n| (n..files.len()).step_by(nodes).collect())
+                    .collect();
+                (pinned, VecDeque::new())
+            }
+        };
         FleetSupervisor {
             policy,
             inner: Mutex::new(SupervisorInner {
-                queue: (0..files.len()).collect(),
+                pinned,
+                shared,
                 states,
                 outstanding: 0,
                 abandoned: Vec::new(),
             }),
+            changed: Condvar::new(),
             grants: obs.counter("fleet.grants"),
             reclaims: obs.counter("fleet.reclaims"),
             advance_fence: Box::new(advance_fence),
         }
     }
 
-    /// Claim the next file for `node`. Runs expired-lease reclamation
-    /// first, so a single surviving worker still recovers files whose
-    /// holders died (there is no separate supervisor thread to rely on).
-    pub fn next_assignment(&self, node: usize) -> Assignment {
+    /// Claim the next file for `node`, or `None` once every file is
+    /// settled (completed or abandoned). With nothing grantable while
+    /// leases are still out, blocks until a file is returned or
+    /// reclaimed, the last lease completes, or the earliest lease deadline
+    /// passes — the caller runs the reclaim itself, so a single surviving
+    /// worker still recovers files whose holders died.
+    pub fn next_assignment(&self, node: usize) -> Option<Lease> {
         let mut inner = self.inner.lock();
-        self.reclaim_expired_locked(&mut inner, Instant::now());
-        match inner.queue.pop_front() {
-            Some(idx) => {
-                let ttl = self.policy.lease_ttl;
+        loop {
+            let now = Instant::now();
+            self.reclaim_expired_locked(&mut inner, now);
+            if let Some(idx) = inner.next_file_for(node) {
                 let st = &mut inner.states[idx];
                 st.epoch += 1;
-                st.holder = Some(node);
-                st.deadline = Some(Instant::now() + ttl);
+                st.deadline = Some(now + self.policy.lease_ttl);
                 let lease = Lease {
                     file_idx: idx,
                     key: st.key,
@@ -326,10 +341,16 @@ impl FleetSupervisor {
                 // Granting epoch e makes e the floor: every older epoch is
                 // fenced out from this moment, the holder itself passes.
                 (self.advance_fence)(lease.key, lease.epoch);
-                Assignment::Grant(lease)
+                self.changed.notify_all();
+                return Some(lease);
             }
-            None if inner.outstanding > 0 => Assignment::Wait,
-            None => Assignment::Done,
+            if inner.settled() {
+                return None;
+            }
+            match inner.states.iter().filter_map(|st| st.deadline).min() {
+                Some(earliest) => self.changed.wait_until(&mut inner, earliest),
+                None => self.changed.wait(&mut inner),
+            }
         }
     }
 
@@ -338,24 +359,30 @@ impl FleetSupervisor {
     /// caller must stop working on the file and discard its transaction.
     pub fn heartbeat(&self, lease: &Lease) -> bool {
         let mut inner = self.inner.lock();
-        let ttl = self.policy.lease_ttl;
         let st = &mut inner.states[lease.file_idx];
-        if st.epoch == lease.epoch && st.holder.is_some() {
-            st.deadline = Some(Instant::now() + ttl);
+        if st.held_by(lease) {
+            st.deadline = Some(Instant::now() + self.policy.lease_ttl);
             true
         } else {
             false
         }
     }
 
-    /// True once `lease` has been reclaimed (its file re-granted or
-    /// requeued under a newer epoch). Drives expiry itself, so a zombie
-    /// polling this converges even when every other worker is busy.
-    pub fn lease_lost(&self, lease: &Lease) -> bool {
+    /// Block until `lease` is lost: reclaimed once its TTL runs out
+    /// without a heartbeat, or already superseded. Drives expiry itself,
+    /// so a frozen holder converges even when every other worker is busy.
+    pub fn await_loss(&self, lease: &Lease) {
         let mut inner = self.inner.lock();
-        self.reclaim_expired_locked(&mut inner, Instant::now());
-        let st = &inner.states[lease.file_idx];
-        st.epoch != lease.epoch || st.holder.is_none()
+        loop {
+            self.reclaim_expired_locked(&mut inner, Instant::now());
+            let st = &inner.states[lease.file_idx];
+            match st.deadline {
+                Some(deadline) if st.held_by(lease) => {
+                    self.changed.wait_until(&mut inner, deadline)
+                }
+                _ => return,
+            }
+        }
     }
 
     /// The holder finished its file (successfully or by reporting a
@@ -364,22 +391,21 @@ impl FleetSupervisor {
     pub fn complete(&self, lease: &Lease) {
         let mut inner = self.inner.lock();
         let st = &mut inner.states[lease.file_idx];
-        if st.epoch == lease.epoch && st.holder.is_some() {
-            st.holder = None;
+        if st.held_by(lease) {
             st.deadline = None;
-            st.done = true;
             inner.outstanding -= 1;
+            self.changed.notify_all();
         }
     }
 
     /// The holder voluntarily gives the file back (circuit breaker
-    /// tripped, connection quarantined): requeue it under a bumped fence
-    /// so the stale session cannot touch it, charging the requeue budget
-    /// (not the reclaim budget — the holder is alive and cooperative).
+    /// tripped, connection quarantined): requeue it under a
+    /// bumped fence so the stale session cannot touch it, charging the
+    /// requeue budget (not the reclaim budget — the holder is alive and
+    /// cooperative).
     pub fn requeue(&self, lease: &Lease) {
         let mut inner = self.inner.lock();
-        let st = &mut inner.states[lease.file_idx];
-        if st.epoch == lease.epoch && st.holder.is_some() {
+        if inner.states[lease.file_idx].held_by(lease) {
             self.end_lease_locked(&mut inner, lease.file_idx, LeaseEnd::Returned);
         }
     }
@@ -394,26 +420,16 @@ impl FleetSupervisor {
         self.reclaims.get()
     }
 
-    /// Files abandoned because their reclaim budget ran out.
+    /// Files abandoned because their reclaim or requeue budget ran out.
     pub fn take_abandoned(&self) -> Vec<AbandonedFile> {
         std::mem::take(&mut self.inner.lock().abandoned)
     }
 
-    /// The newest epoch issued for each file, for the journal manifest.
-    pub fn epochs(&self) -> Vec<u64> {
-        self.inner.lock().states.iter().map(|s| s.epoch).collect()
-    }
-
     fn reclaim_expired_locked(&self, inner: &mut SupervisorInner, now: Instant) {
-        let expired: Vec<usize> = inner
-            .states
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| st.holder.is_some() && st.deadline.map(|d| d <= now).unwrap_or(false))
-            .map(|(i, _)| i)
-            .collect();
-        for idx in expired {
-            self.end_lease_locked(inner, idx, LeaseEnd::Expired);
+        for idx in 0..inner.states.len() {
+            if inner.states[idx].deadline.is_some_and(|d| d <= now) {
+                self.end_lease_locked(inner, idx, LeaseEnd::Expired);
+            }
         }
     }
 
@@ -421,15 +437,14 @@ impl FleetSupervisor {
     /// epoch, then requeue the file or abandon it if the budget is spent.
     fn end_lease_locked(&self, inner: &mut SupervisorInner, idx: usize, how: LeaseEnd) {
         let st = &mut inner.states[idx];
-        st.holder = None;
         st.deadline = None;
         // Invalidate the dead holder's epoch *now*, before any re-grant:
         // from this point its flushes are fenced out at the server.
         (self.advance_fence)(st.key, st.epoch + 1);
         // Expiry reclaims (a presumed-dead holder) and voluntary returns
-        // (a quarantined connection handing the file back) draw on
-        // separate budgets: returns are healthy retry traffic on a flaky
-        // link and must not starve a file of its crash-recovery budget.
+        // (a loader handing the file back) draw on separate budgets:
+        // returns are healthy retry traffic and must not starve a file of
+        // its crash-recovery budget.
         let (spent, budget, what) = match how {
             LeaseEnd::Expired => {
                 st.reclaims += 1;
@@ -448,8 +463,9 @@ impl FleetSupervisor {
                 reason: format!("lease {what} {budget} times (budget exhausted)"),
             });
         } else {
-            inner.queue.push_back(idx);
+            inner.shared.push_back(idx);
         }
+        self.changed.notify_all();
     }
 }
 
@@ -459,13 +475,28 @@ mod tests {
     use std::sync::Arc;
 
     fn policy_ms(ttl: u64) -> FleetPolicy {
-        FleetPolicy::default()
-            .with_lease_ttl(Duration::from_millis(ttl))
-            .with_heartbeat_interval(Duration::from_millis(ttl / 3))
+        FleetPolicy::default().with_lease_ttl(Duration::from_millis(ttl))
     }
 
     fn files(names: &[&str]) -> Vec<(String, u64)> {
         names.iter().map(|n| ((*n).to_owned(), 0)).collect()
+    }
+
+    /// A dynamic-assignment supervisor over `names`.
+    fn dynamic(
+        names: &[&str],
+        policy: FleetPolicy,
+        fence: impl Fn(u64, u64) + Send + Sync + 'static,
+    ) -> FleetSupervisor {
+        let reg = skyobs::Registry::new();
+        FleetSupervisor::new(
+            &files(names),
+            policy,
+            AssignmentPolicy::Dynamic,
+            1,
+            &reg,
+            fence,
+        )
     }
 
     type FenceLog = Arc<Mutex<Vec<(u64, u64)>>>;
@@ -480,6 +511,10 @@ mod tests {
         (log, sink)
     }
 
+    /// Long enough for a blocked worker to have returned if it were not
+    /// blocked.
+    const SETTLE: Duration = Duration::from_millis(50);
+
     #[test]
     fn policy_defaults_validate_and_serde_roundtrip() {
         let p = FleetPolicy::default();
@@ -488,6 +523,9 @@ mod tests {
         assert_eq!(serde_json::from_str::<FleetPolicy>(&json).unwrap(), p);
         // Old configs without a fleet section still deserialize.
         assert_eq!(serde_json::from_str::<FleetPolicy>("{}").unwrap(), p);
+        // ...and so do configs that still carry the retired heartbeat knob.
+        let old = r#"{"lease_ttl":30000000,"heartbeat_interval":10000000}"#;
+        assert_eq!(serde_json::from_str::<FleetPolicy>(old).unwrap(), p);
     }
 
     #[test]
@@ -497,11 +535,11 @@ mod tests {
             .validate()
             .is_err());
         assert!(FleetPolicy::default()
-            .with_heartbeat_interval(Duration::from_secs(30))
+            .with_max_reclaims(0)
             .validate()
             .is_err());
         assert!(FleetPolicy::default()
-            .with_max_reclaims(0)
+            .with_max_requeues(0)
             .validate()
             .is_err());
     }
@@ -514,41 +552,81 @@ mod tests {
 
     #[test]
     fn happy_path_grants_every_file_once_then_done() {
-        let sup = FleetSupervisor::new(&files(&["a", "b"]), policy_ms(1000), |_, _| {});
-        let Assignment::Grant(l1) = sup.next_assignment(0) else {
-            panic!("expected grant")
-        };
-        let Assignment::Grant(l2) = sup.next_assignment(1) else {
-            panic!("expected grant")
-        };
+        let sup = dynamic(&["a", "b"], policy_ms(1000), |_, _| {});
+        let l1 = sup.next_assignment(0).expect("grant");
+        let l2 = sup.next_assignment(1).expect("grant");
         assert_eq!((l1.epoch, l2.epoch), (1, 1));
         assert!(sup.heartbeat(&l1));
-        // Queue drained but leases outstanding: workers wait, not exit.
-        assert_eq!(sup.next_assignment(2), Assignment::Wait);
-        sup.complete(&l1);
-        sup.complete(&l2);
-        assert_eq!(sup.next_assignment(0), Assignment::Done);
+        std::thread::scope(|s| {
+            // Queue drained but leases outstanding: a third worker blocks
+            // instead of exiting, and wakes when the last lease completes.
+            let idle = s.spawn(|| sup.next_assignment(2));
+            std::thread::sleep(SETTLE);
+            assert!(!idle.is_finished(), "an idle worker must block");
+            sup.complete(&l1);
+            std::thread::sleep(SETTLE);
+            assert!(!idle.is_finished(), "one lease is still out");
+            sup.complete(&l2);
+            assert_eq!(idle.join().unwrap(), None);
+        });
         assert_eq!(sup.grants(), 2);
         assert_eq!(sup.reclaims(), 0);
         assert!(sup.take_abandoned().is_empty());
     }
 
     #[test]
+    fn blocked_worker_returns_promptly_after_the_last_complete() {
+        // The production TTL: a worker must not sit out any fraction of
+        // it once the night is over.
+        let sup = dynamic(&["a"], FleetPolicy::default(), |_, _| {});
+        let lease = sup.next_assignment(0).expect("grant");
+        std::thread::scope(|s| {
+            let idle = s.spawn(|| {
+                let got = sup.next_assignment(1);
+                (got, Instant::now())
+            });
+            std::thread::sleep(SETTLE);
+            let completed_at = Instant::now();
+            sup.complete(&lease);
+            let (got, returned_at) = idle.join().unwrap();
+            assert_eq!(got, None);
+            assert!(
+                returned_at.duration_since(completed_at) < Duration::from_secs(1),
+                "idle worker took {:?} to notice the night ended",
+                returned_at.duration_since(completed_at)
+            );
+        });
+    }
+
+    #[test]
+    fn blocked_worker_wakes_on_expiry_and_takes_the_reclaimed_file() {
+        let sup = dynamic(&["a"], policy_ms(40), |_, _| {});
+        let dead = sup.next_assignment(0).expect("grant");
+        let t0 = Instant::now();
+        // Nobody heartbeats `dead`: the waiter itself reclaims it at the
+        // deadline and is handed the file under the next epoch.
+        let l2 = sup.next_assignment(1).expect("re-grant after expiry");
+        assert!(
+            t0.elapsed() >= Duration::from_millis(30),
+            "woke before the deadline"
+        );
+        assert_eq!((l2.file_idx, l2.epoch), (dead.file_idx, 2));
+        assert_eq!(sup.reclaims(), 1);
+        sup.complete(&l2);
+        assert_eq!(sup.next_assignment(0), None);
+    }
+
+    #[test]
     fn expired_lease_is_reclaimed_fenced_and_regranted() {
         let (log, sink) = recording();
-        let sup = FleetSupervisor::new(&files(&["a"]), policy_ms(30), sink);
-        let Assignment::Grant(l1) = sup.next_assignment(0) else {
-            panic!("expected grant")
-        };
+        let sup = dynamic(&["a"], policy_ms(30), sink);
+        let l1 = sup.next_assignment(0).expect("grant");
         assert_eq!(l1.epoch, 1);
-        std::thread::sleep(Duration::from_millis(45));
-        // The dead holder's lease is gone...
-        assert!(sup.lease_lost(&l1));
+        // The dead holder's lease is gone once its TTL runs out...
+        sup.await_loss(&l1);
         assert!(!sup.heartbeat(&l1), "reclaimed lease must not renew");
         // ...and the file is re-granted under a strictly newer epoch.
-        let Assignment::Grant(l2) = sup.next_assignment(1) else {
-            panic!("expected re-grant")
-        };
+        let l2 = sup.next_assignment(1).expect("re-grant");
         assert_eq!(l2.epoch, 2);
         assert_eq!(l2.key, l1.key);
         assert_eq!(sup.reclaims(), 1);
@@ -558,46 +636,37 @@ mod tests {
             log.lock().as_slice(),
             &[(l1.key, 1), (l1.key, 2), (l1.key, 2)]
         );
-        // The late completion from the dead holder is ignored.
+        // The late completion from the dead holder is ignored: the file
+        // is still out, so the night is not over.
         sup.complete(&l1);
-        assert_eq!(sup.next_assignment(2), Assignment::Wait);
+        assert!(sup.heartbeat(&l2));
         sup.complete(&l2);
-        assert_eq!(sup.next_assignment(2), Assignment::Done);
+        assert_eq!(sup.next_assignment(2), None);
     }
 
     #[test]
     fn heartbeats_keep_a_slow_lease_alive() {
-        let sup = FleetSupervisor::new(&files(&["a"]), policy_ms(40), |_, _| {});
-        let Assignment::Grant(l) = sup.next_assignment(0) else {
-            panic!("expected grant")
-        };
+        let sup = dynamic(&["a"], policy_ms(40), |_, _| {});
+        let l = sup.next_assignment(0).expect("grant");
         for _ in 0..5 {
             std::thread::sleep(Duration::from_millis(15));
             assert!(sup.heartbeat(&l), "renewed lease must stay valid");
         }
-        assert!(!sup.lease_lost(&l));
         sup.complete(&l);
-        assert_eq!(sup.next_assignment(0), Assignment::Done);
+        assert_eq!(sup.next_assignment(0), None);
         assert_eq!(sup.reclaims(), 0);
     }
 
     #[test]
     fn reclaim_budget_abandons_a_file_that_keeps_dying() {
-        let sup = FleetSupervisor::new(
-            &files(&["cursed"]),
-            policy_ms(10).with_max_reclaims(3),
-            |_, _| {},
-        );
+        let sup = dynamic(&["cursed"], policy_ms(10).with_max_reclaims(3), |_, _| {});
         for round in 0..3 {
-            let Assignment::Grant(l) = sup.next_assignment(0) else {
-                panic!("expected grant in round {round}")
-            };
+            let l = sup.next_assignment(0).expect("grant");
             assert_eq!(l.epoch, round + 1);
-            std::thread::sleep(Duration::from_millis(15));
-            assert!(sup.lease_lost(&l));
+            sup.await_loss(&l);
         }
         // Budget spent: the file is abandoned, not requeued forever.
-        assert_eq!(sup.next_assignment(0), Assignment::Done);
+        assert_eq!(sup.next_assignment(0), None);
         let abandoned = sup.take_abandoned();
         assert_eq!(abandoned.len(), 1);
         assert_eq!(abandoned[0].file_idx, 0);
@@ -607,17 +676,27 @@ mod tests {
     #[test]
     fn voluntary_requeue_bumps_epoch_without_counting_as_reclaim() {
         let (log, sink) = recording();
-        let sup = FleetSupervisor::new(&files(&["a"]), policy_ms(1000), sink);
-        let Assignment::Grant(l1) = sup.next_assignment(0) else {
-            panic!("expected grant")
-        };
+        let sup = dynamic(&["a"], policy_ms(1000), sink);
+        let l1 = sup.next_assignment(0).expect("grant");
         sup.requeue(&l1);
         assert_eq!(sup.reclaims(), 0, "voluntary return is not a reclaim");
-        let Assignment::Grant(l2) = sup.next_assignment(1) else {
-            panic!("expected re-grant")
-        };
+        let l2 = sup.next_assignment(1).expect("re-grant");
         assert_eq!(l2.epoch, 2);
         assert!(log.lock().contains(&(l1.key, 2)));
+    }
+
+    #[test]
+    fn requeue_wakes_a_blocked_worker() {
+        let sup = dynamic(&["a"], FleetPolicy::default(), |_, _| {});
+        let l1 = sup.next_assignment(0).expect("grant");
+        std::thread::scope(|s| {
+            let idle = s.spawn(|| sup.next_assignment(1));
+            std::thread::sleep(SETTLE);
+            assert!(!idle.is_finished());
+            sup.requeue(&l1);
+            let l2 = idle.join().unwrap().expect("the returned file");
+            assert_eq!(l2.epoch, 2);
+        });
     }
 
     #[test]
@@ -625,62 +704,86 @@ mod tests {
         // Many voluntary returns (breaker trips on a flaky link) must not
         // burn the crash-recovery budget: with max_reclaims = 2 the file
         // survives far more than 2 requeues and still completes.
-        let sup = FleetSupervisor::new(
-            &files(&["a"]),
+        let sup = dynamic(
+            &["a"],
             policy_ms(1000).with_max_reclaims(2).with_max_requeues(64),
             |_, _| {},
         );
         for _ in 0..20 {
-            let Assignment::Grant(l) = sup.next_assignment(0) else {
-                panic!("expected re-grant after a voluntary return")
-            };
+            let l = sup
+                .next_assignment(0)
+                .expect("re-grant after a voluntary return");
             sup.requeue(&l);
         }
-        let Assignment::Grant(l) = sup.next_assignment(0) else {
-            panic!("expected grant")
-        };
+        let l = sup.next_assignment(0).expect("grant");
         sup.complete(&l);
-        assert_eq!(sup.next_assignment(0), Assignment::Done);
+        assert_eq!(sup.next_assignment(0), None);
         assert!(sup.take_abandoned().is_empty());
         assert_eq!(sup.reclaims(), 0);
     }
 
     #[test]
     fn requeue_budget_still_bounds_a_file_no_connection_can_load() {
-        let sup = FleetSupervisor::new(
-            &files(&["cursed"]),
-            policy_ms(1000).with_max_requeues(3),
-            |_, _| {},
-        );
+        let sup = dynamic(&["cursed"], policy_ms(1000).with_max_requeues(3), |_, _| {});
         for _ in 0..3 {
-            let Assignment::Grant(l) = sup.next_assignment(0) else {
-                panic!("expected grant")
-            };
+            let l = sup.next_assignment(0).expect("grant");
             sup.requeue(&l);
         }
-        assert_eq!(sup.next_assignment(0), Assignment::Done);
+        assert_eq!(sup.next_assignment(0), None);
         let abandoned = sup.take_abandoned();
         assert_eq!(abandoned.len(), 1);
         assert!(abandoned[0].reason.contains("requeued"));
     }
 
     #[test]
+    fn static_policy_pins_files_round_robin_and_shares_returns() {
+        let reg = skyobs::Registry::new();
+        let sup = FleetSupervisor::new(
+            &files(&["f0", "f1", "f2"]),
+            policy_ms(1000),
+            AssignmentPolicy::Static,
+            2,
+            &reg,
+            |_, _| {},
+        );
+        // Node 0 owns files 0 and 2, node 1 owns file 1.
+        let a = sup.next_assignment(0).expect("grant");
+        let b = sup.next_assignment(1).expect("grant");
+        let c = sup.next_assignment(0).expect("grant");
+        assert_eq!((a.file_idx, b.file_idx, c.file_idx), (0, 1, 2));
+        std::thread::scope(|s| {
+            // Node 1's partition is drained; it does not steal, it waits.
+            let idle = s.spawn(|| sup.next_assignment(1));
+            std::thread::sleep(SETTLE);
+            assert!(!idle.is_finished());
+            // A returned file goes to the shared queue, open to any node.
+            sup.requeue(&c);
+            let again = idle.join().unwrap().expect("the returned file");
+            assert_eq!((again.file_idx, again.epoch), (2, 2));
+            sup.complete(&again);
+        });
+        sup.complete(&a);
+        sup.complete(&b);
+        assert_eq!(sup.next_assignment(0), None);
+        assert_eq!(sup.next_assignment(1), None);
+    }
+
+    #[test]
     fn restart_epochs_resume_past_the_manifest() {
         // A restarted coordinator seeds epochs from the journal manifest:
         // grants must be strictly newer than anything issued before.
+        let reg = skyobs::Registry::new();
         let sup = FleetSupervisor::new(
             &[("a".into(), 4), ("b".into(), 0)],
             policy_ms(1000),
+            AssignmentPolicy::Dynamic,
+            1,
+            &reg,
             |_, _| {},
         );
-        let Assignment::Grant(la) = sup.next_assignment(0) else {
-            panic!("expected grant")
-        };
-        let Assignment::Grant(lb) = sup.next_assignment(0) else {
-            panic!("expected grant")
-        };
-        assert_eq!(la.epoch, 5);
-        assert_eq!(lb.epoch, 1);
-        assert_eq!(sup.epochs(), vec![5, 1]);
+        let la = sup.next_assignment(0).expect("grant");
+        let lb = sup.next_assignment(0).expect("grant");
+        assert_eq!((la.file_idx, la.epoch), (0, 5));
+        assert_eq!((lb.file_idx, lb.epoch), (1, 1));
     }
 }

@@ -74,7 +74,7 @@ pub use campaign::{
 };
 pub use chaos::{run_soak, Preset, SoakConfig, SoakReport};
 pub use config::{CommitPolicy, ExecMode, LoaderConfig, PipelineMode};
-pub use fleet::{Assignment, FleetPolicy, FleetSupervisor, Lease};
+pub use fleet::{FleetPolicy, FleetSupervisor, Lease};
 pub use live::{run_live, LiveConfig, LiveReport};
 pub use parallel::{load_night, load_night_with_journal, NightError};
 pub use recovery::LoadJournal;

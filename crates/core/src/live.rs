@@ -57,11 +57,6 @@ pub struct LiveConfig {
 
 impl LiveConfig {
     /// Test/CI defaults: fast modeled night, generous budget.
-    ///
-    /// The fleet lease TTL is tightened from the production default: a
-    /// micro-batch is one file, so idle nodes poll at TTL/8 between
-    /// grants and a 30 s TTL would stall every batch for seconds of
-    /// wall-clock on a night that models in microseconds.
     pub fn test(seed: u64) -> Self {
         LiveConfig {
             seed,
@@ -70,11 +65,7 @@ impl LiveConfig {
             burst_run: 3,
             burst_factor: 8.0,
             slo_budget: Duration::from_millis(250),
-            loader: LoaderConfig::test().with_fleet(
-                crate::fleet::FleetPolicy::default()
-                    .with_lease_ttl(Duration::from_millis(250))
-                    .with_heartbeat_interval(Duration::from_millis(50)),
-            ),
+            loader: LoaderConfig::test(),
         }
     }
 }

@@ -6,21 +6,21 @@
 //! nodes."
 //!
 //! [`load_night`] runs one loader per node, each with its own database
-//! session, pulling files from a shared queue (dynamic assignment) or from
-//! a round-robin pre-partition (the rejected baseline, kept for ablation
-//! A2).
+//! session, in one worker loop over one lease table ([`crate::fleet`]):
+//! the table grants from a shared queue (dynamic assignment) or from a
+//! round-robin pre-partition (static, the rejected baseline kept for
+//! ablation A2), and a loader with nothing grantable blocks on the table
+//! until a file comes back, a lease expires, or the night is over.
 //!
-//! Dynamic assignment is **lease-based** (see [`crate::fleet`]): every file
-//! grant carries a fencing epoch and a TTL, healthy loaders heartbeat
-//! between attempts, and the supervisor reclaims expired leases — so a
-//! loader killed mid-file has its file reassigned, and a stalled loader
-//! that wakes up as a zombie finds its flushes rejected at the session
-//! layer ([`DbError::FencedOut`]) before a single stale row lands. The
-//! checkpoint journal's watermark keeps reassigned files exactly-once, and
-//! its epoch manifest lets a restarted coordinator issue strictly newer
-//! leases.
+//! Every grant is a **lease**: it carries a fencing epoch and a TTL,
+//! healthy loaders heartbeat between attempts, and the supervisor reclaims
+//! expired leases — so a loader killed mid-file has its file reassigned,
+//! and a stalled loader that wakes up as a zombie finds its flushes
+//! rejected at the session layer ([`DbError::FencedOut`]) before a single
+//! stale row lands. The checkpoint journal's watermark keeps reassigned
+//! files exactly-once, and its epoch manifest lets a restarted coordinator
+//! issue strictly newer leases.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,16 +34,10 @@ use skysim::cluster::AssignmentPolicy;
 use skysim::time::Waiter;
 
 use crate::config::LoaderConfig;
-use crate::fleet::{Assignment, FleetSupervisor, Lease};
+use crate::fleet::{FleetSupervisor, Lease};
 use crate::recovery::LoadJournal;
 use crate::report::{FailedFile, FileReport, NightReport};
 use crate::resilience::{classify, fault_label, Backoff, CircuitBreaker, Degrader, ErrorClass};
-
-/// Bounded number of extra rounds for files whose connection's circuit
-/// breaker tripped mid-load under *static* assignment. (Dynamic assignment
-/// bounds reassignments per file via the fleet policy's reclaim and
-/// requeue budgets instead.)
-const MAX_REQUEUE_ROUNDS: usize = 64;
 
 /// A night-level orchestration failure: a loader worker died (panicked),
 /// or — from [`load_night`] — the night ended with unretirable files.
@@ -104,11 +98,11 @@ struct NodeState {
     backoff: Backoff,
 }
 
-/// How one assignment of one file to one node ended.
+/// How one lease on one file ended.
 enum FileOutcome {
     /// Loaded, failed permanently, or given up: do not reassign.
     Retired,
-    /// Breaker trip: the file should be requeued on a healthy session.
+    /// Breaker trip: return the file to the lease table.
     Requeue,
     /// The lease was reclaimed (or the flush fenced out) mid-file: the
     /// new holder owns the outcome; nothing to do here.
@@ -143,15 +137,18 @@ fn line_prefix(text: &str, keep: usize) -> &str {
 /// re-surface as PK-duplicate skips, so the repository still converges to
 /// exactly one copy of every row.
 ///
-/// Under dynamic assignment every grant is a lease (`cfg.fleet`): loaders
-/// heartbeat between attempts, expired leases are reclaimed and their
-/// files reassigned under a bumped fencing epoch, and a zombie holder's
-/// stale flushes are rejected by the database before anything applies. A
-/// connection whose breaker trips is quarantined: the loader reconnects
-/// and the in-flight file is requeued (charging the per-file requeue
-/// budget, which is separate from — and larger than — the reclaim
-/// budget). Files that cannot be retired (including everything pending
-/// when the server crashes) are reported in [`NightReport::failed_files`].
+/// Every grant is a lease (`cfg.fleet`), under either assignment `policy`:
+/// loaders heartbeat between attempts, expired leases are reclaimed and
+/// their files reassigned under a bumped fencing epoch, and a zombie
+/// holder's stale flushes are rejected by the database before anything
+/// applies. A connection whose breaker trips is quarantined: the loader
+/// reconnects and the in-flight file is requeued, charging the per-file
+/// requeue budget, which is separate from — and larger than — the reclaim
+/// budget. A write conflict against another open transaction is waited
+/// out in place, on the wall clock, up to the same count, without
+/// spending the stalled-attempt budget. Files that cannot be retired (including
+/// everything pending when the server crashes) are reported in
+/// [`NightReport::failed_files`].
 ///
 /// `Err` is reserved for orchestration failures — a loader worker dying —
 /// not for per-file load failures.
@@ -165,9 +162,6 @@ pub fn load_night_with_journal(
 ) -> Result<NightReport, NightError> {
     assert!(nodes > 0, "need at least one loader node");
     let retry = &cfg.retry;
-    let fleet = &cfg.fleet;
-    // One session per node, like one loader process per Condor node. The
-    // Mutex allows a tripped connection to be swapped for a fresh one.
     // The coordinator's telemetry registry: the server's registry, which by
     // default is also the engine's. Every counter the night report needs is
     // incremented here as the event happens; the report is a view over the
@@ -182,13 +176,14 @@ pub fn load_night_with_journal(
     let backoff_waits = obs.counter("backoff.waits");
     let backoff_wait_us = obs.counter("backoff.wait_us");
     let breaker_trips = obs.counter("breaker_trips");
-    let sessions: Vec<Mutex<Session>> = (0..nodes)
-        .map(|_| {
-            let s = server.connect();
-            s.set_call_timeout(retry.call_timeout);
-            Mutex::new(s)
-        })
-        .collect();
+    // One session per node, like one loader process per Condor node. The
+    // Mutex allows a tripped connection to be swapped for a fresh one.
+    let connect = || {
+        let s = server.connect();
+        s.set_call_timeout(retry.call_timeout);
+        s
+    };
+    let sessions: Vec<Mutex<Session>> = (0..nodes).map(|_| Mutex::new(connect())).collect();
     let node_states: Vec<Mutex<NodeState>> = (0..nodes)
         .map(|i| {
             Mutex::new(NodeState {
@@ -209,41 +204,71 @@ pub fn load_night_with_journal(
             error: why,
         });
     };
+    // The connection aborts a broken transaction; the rollback itself
+    // crosses the wire and can hit the same flaky link, so insist a little.
+    // (Rollback is unfenced, so a superseded holder can always clean up.)
+    let roll_back = |node_idx: usize| {
+        let s = sessions[node_idx].lock();
+        for _ in 0..3 {
+            if s.rollback().is_ok() {
+                break;
+            }
+        }
+    };
+    // The next delay of the node's seeded backoff stream, counted.
+    let next_backoff = |node_idx: usize| {
+        let delay = node_states[node_idx].lock().backoff.next_delay();
+        backoff_waits.inc();
+        backoff_wait_us.add(delay.as_micros() as u64);
+        delay
+    };
 
-    // The per-attempt retry loop shared by both assignment policies.
-    // `heartbeat` renews the node's lease (always `true` under static
-    // assignment, which has no leases).
-    let drive_file = |node_idx: usize,
-                      file: &CatalogFile,
-                      lease: Option<&Lease>,
-                      heartbeat: &(dyn Fn(&Lease) -> bool + Sync)|
-     -> FileOutcome {
+    // The lease table: the only thing that decides what a loader does next.
+    let initial: Vec<(String, u64)> = files
+        .iter()
+        .map(|f| {
+            let key = crate::fleet::fence_key(&f.name);
+            let manifest = journal.map(|j| j.epoch_for(&f.name)).unwrap_or(0);
+            // Max-merge with the server's floor so a restarted coordinator
+            // (or a reused server) always issues strictly newer epochs
+            // than anything fenced before.
+            (f.name.clone(), manifest.max(server.fence_floor(key)))
+        })
+        .collect();
+    let supervisor = {
+        let server = Arc::clone(server);
+        FleetSupervisor::new(
+            &initial,
+            cfg.fleet.clone(),
+            policy,
+            nodes,
+            &obs,
+            move |key, epoch| server.advance_fence(key, epoch),
+        )
+    };
+    let supervisor = &supervisor;
+    let fence_session = |node_idx: usize, lease: &Lease| {
+        sessions[node_idx].lock().set_fence(Some(Fence {
+            key: lease.key,
+            epoch: lease.epoch,
+        }));
+    };
+
+    // The per-attempt retry loop for one lease.
+    let drive_file = |node_idx: usize, file: &CatalogFile, lease: &Lease| -> FileOutcome {
         let mut stalled = 0usize;
+        let mut conflicts = 0u64;
         let mut attempts = 0u64;
         let mut last_level = degrader.level();
-        if let Some(l) = lease {
-            sessions[node_idx].lock().set_fence(Some(Fence {
-                key: l.key,
-                epoch: l.epoch,
-            }));
-        }
-        let clear_fence = || {
-            if lease.is_some() {
-                sessions[node_idx].lock().set_fence(None);
-            }
-        };
-        loop {
+        fence_session(node_idx, lease);
+        let outcome = loop {
             // Renew the lease before burning time on an attempt. A failed
             // renewal means we were presumed dead and the file reassigned:
             // discard the half-done transaction and walk away — the new
             // holder resumes from the journal.
-            if let Some(l) = lease {
-                if !heartbeat(l) {
-                    let s = sessions[node_idx].lock();
-                    let _ = s.rollback();
-                    s.set_fence(None);
-                    return FileOutcome::TakenAway;
-                }
+            if !supervisor.heartbeat(lease) {
+                roll_back(node_idx);
+                break FileOutcome::TakenAway;
             }
             // Load under the degradation ladder's current shape.
             let effective = degrader.shape(cfg);
@@ -268,14 +293,14 @@ pub fn load_night_with_journal(
                     st.backoff.reset();
                     drop(st);
                     reports.lock().push(report);
-                    clear_fence();
-                    return FileOutcome::Retired;
+                    break FileOutcome::Retired;
                 }
                 Err(e) => e,
             };
             attempts += 1;
             retries.inc();
-            match classify(&err) {
+            let class = classify(&err);
+            match class {
                 ErrorClass::Fenced => {
                     // Our lease was reclaimed while a call was in flight:
                     // the database rejected the stale flush before
@@ -283,48 +308,49 @@ pub fn load_night_with_journal(
                     // holder — roll back the leftover transaction and
                     // abandon silently.
                     fencing_rejections.inc();
-                    let s = sessions[node_idx].lock();
-                    let _ = s.rollback();
-                    s.set_fence(None);
-                    return FileOutcome::TakenAway;
+                    roll_back(node_idx);
+                    break FileOutcome::TakenAway;
                 }
                 ErrorClass::Permanent => {
-                    let _ = sessions[node_idx].lock().rollback();
+                    roll_back(node_idx);
                     give_up(file, err.to_string());
-                    clear_fence();
-                    return FileOutcome::Retired;
+                    break FileOutcome::Retired;
                 }
                 ErrorClass::ServerLost => {
                     // The server is down; retrying any connection is futile.
                     // Report and let the caller (e.g. the chaos harness)
                     // recover the repository and resume from the journal.
                     give_up(file, err.to_string());
-                    clear_fence();
-                    return FileOutcome::Retired;
+                    break FileOutcome::Retired;
                 }
-                ErrorClass::Transient => {}
+                ErrorClass::Transient | ErrorClass::Contended => {}
             }
             obs.counter(&format!("faults.survived.{}", fault_label(&err)))
                 .inc();
-            degrader.note_fault(&err);
-            // The rollback itself crosses the wire and can hit the same
-            // flaky link; insist a little.
-            {
-                let session = sessions[node_idx].lock();
-                for _ in 0..3 {
-                    if session.rollback().is_ok() {
-                        break;
-                    }
+            roll_back(node_idx);
+            if class == ErrorClass::Contended {
+                // Another open transaction holds a key this file needs.
+                // Neither smaller calls nor a fresh connection help, and
+                // the load has not stalled: wait for the holder, as often
+                // as the file's requeue budget allows. The holder runs on
+                // the wall clock, so the wait does too, whatever the
+                // modeled time scale; it stays well inside the lease so
+                // the next attempt can still renew it.
+                conflicts += 1;
+                if conflicts >= cfg.fleet.max_requeues_per_file {
+                    give_up(file, format!("{err} ({conflicts} times)"));
+                    break FileOutcome::Retired;
                 }
+                std::thread::sleep(next_backoff(node_idx).min(cfg.fleet.lease_ttl / 4));
+                continue;
             }
+            degrader.note_fault(&err);
             let tripped = node_states[node_idx].lock().breaker.record_failure();
             if tripped {
                 // Quarantine the sick connection: reconnect, requeue the
-                // file for a later assignment on a healthy session.
-                let fresh = server.connect();
-                fresh.set_call_timeout(retry.call_timeout);
-                *sessions[node_idx].lock() = fresh;
-                return FileOutcome::Requeue;
+                // file for a later grant on a healthy session.
+                *sessions[node_idx].lock() = connect();
+                break FileOutcome::Requeue;
             }
             // The attempt budget counts only *stalled* attempts: journal
             // progress or a degradation-ladder move refreshes it.
@@ -344,236 +370,111 @@ pub fn load_night_with_journal(
                     file,
                     format!("no progress after {} attempts: {err}", retry.max_attempts),
                 );
-                clear_fence();
-                return FileOutcome::Retired;
+                break FileOutcome::Retired;
             }
-            let delay = node_states[node_idx].lock().backoff.next_delay();
-            backoff_waits.inc();
-            backoff_wait_us.add(delay.as_micros() as u64);
-            waiter.wait(delay);
+            waiter.wait(next_backoff(node_idx));
+        };
+        sessions[node_idx].lock().set_fence(None);
+        outcome
+    };
+
+    // Injected loader faults (chaos): a kill loads a truncated prefix and
+    // loses its process — the database aborts the dead connection's open
+    // transaction, the node restarts with a fresh session, and the lease
+    // is never released: TTL expiry is the recovery path. A stall loads a
+    // prefix, freezes past its TTL, then wakes as a zombie and flushes the
+    // rest under its stale epoch — which fencing rejects before anything
+    // applies.
+    let truncated_prefix_load = |node_idx: usize, lease: &Lease, file: &CatalogFile| {
+        let keep = file.text.lines().count() / 2;
+        let prefix = line_prefix(&file.text, keep);
+        fence_session(node_idx, lease);
+        let s = sessions[node_idx].lock();
+        let _ = match journal {
+            Some(j) => crate::bulk::load_catalog_text_with_journal(&s, cfg, &file.name, prefix, j),
+            None => crate::bulk::load_catalog_text(&s, cfg, &file.name, prefix),
+        };
+    };
+    let kill_loader = |node_idx: usize, lease: &Lease, file: &CatalogFile| {
+        server.note_injected_fault(FaultKind::LoaderKill);
+        loader_kills.inc();
+        truncated_prefix_load(node_idx, lease, file);
+        // The dead connection's open transaction is aborted by the
+        // database (modeled as a rollback).
+        roll_back(node_idx);
+        // The Condor node restarts with a fresh loader process; the lease
+        // is left to expire.
+        *sessions[node_idx].lock() = connect();
+    };
+    let stall_loader = |node_idx: usize, lease: &Lease, file: &CatalogFile| {
+        server.note_injected_fault(FaultKind::LoaderStall);
+        loader_stalls.inc();
+        truncated_prefix_load(node_idx, lease, file);
+        // Freeze: no heartbeats until the supervisor presumes us dead and
+        // reassigns the file. (The wait drives expiry itself, so this
+        // converges even on a single-node fleet.)
+        supervisor.await_loss(lease);
+        // Zombie wakes and flushes the remainder under the stale epoch:
+        // the fence rejects it before a single row lands. Other injected
+        // faults can beat the fence check to the wire, so insist a few
+        // times — once the lease is reclaimed the fence verdict is
+        // permanent.
+        {
+            let s = sessions[node_idx].lock();
+            for _ in 0..16 {
+                let res = match journal {
+                    Some(j) => crate::bulk::load_catalog_text_with_journal(
+                        &s, cfg, &file.name, &file.text, j,
+                    ),
+                    None => crate::bulk::load_catalog_text(&s, cfg, &file.name, &file.text),
+                };
+                match res {
+                    Err(e) if classify(&e) == ErrorClass::Fenced => {
+                        fencing_rejections.inc();
+                        break;
+                    }
+                    // Transient noise before the fence check; retry.
+                    Err(_) => continue,
+                    // Nothing left to send (the journal already covers the
+                    // whole file): no stale call, nothing landed.
+                    Ok(_) => break,
+                }
+            }
         }
+        roll_back(node_idx);
+        sessions[node_idx].lock().set_fence(None);
+    };
+
+    // The one worker loop: ask the table, load what it grants, report back.
+    let worker = |node_idx: usize| -> Duration {
+        let mut busy = Duration::ZERO;
+        while let Some(lease) = supervisor.next_assignment(node_idx) {
+            let t0 = Instant::now();
+            let file = &files[lease.file_idx];
+            if let Some(j) = journal {
+                j.record_epoch(&file.name, lease.epoch);
+            }
+            match server.fault_plan().and_then(|p| p.decide_loader_fault()) {
+                Some(FaultKind::LoaderKill) => kill_loader(node_idx, &lease, file),
+                Some(FaultKind::LoaderStall) => stall_loader(node_idx, &lease, file),
+                _ => match drive_file(node_idx, file, &lease) {
+                    FileOutcome::Retired => supervisor.complete(&lease),
+                    FileOutcome::Requeue => supervisor.requeue(&lease),
+                    FileOutcome::TakenAway => {} // already reclaimed
+                },
+            }
+            busy += t0.elapsed();
+        }
+        busy
     };
 
     let start = Instant::now();
-    let busy = match policy {
-        AssignmentPolicy::Dynamic => {
-            // Lease-fenced dynamic assignment through the fleet supervisor.
-            let initial: Vec<(String, u64)> = files
-                .iter()
-                .map(|f| {
-                    let key = crate::fleet::fence_key(&f.name);
-                    let manifest = journal.map(|j| j.epoch_for(&f.name)).unwrap_or(0);
-                    // Max-merge with the server's floor so a restarted
-                    // coordinator (or a reused server) always issues
-                    // strictly newer epochs than anything fenced before.
-                    (f.name.clone(), manifest.max(server.fence_floor(key)))
-                })
-                .collect();
-            let supervisor = {
-                let server = Arc::clone(server);
-                FleetSupervisor::new_with_obs(
-                    &initial,
-                    fleet.clone(),
-                    move |key, epoch| server.advance_fence(key, epoch),
-                    &obs,
-                )
-            };
-            let supervisor = &supervisor;
-            let poll = (fleet.lease_ttl / 8).max(Duration::from_millis(1));
-            let renew = |l: &Lease| supervisor.heartbeat(l);
-
-            // Injected loader faults (chaos): a kill loads a truncated
-            // prefix and loses its process — the database aborts the dead
-            // connection's open transaction, the node restarts with a
-            // fresh session, and the lease is never released: TTL expiry
-            // is the recovery path. A stall loads a prefix, freezes past
-            // its TTL, then wakes as a zombie and flushes the rest under
-            // its stale epoch — which fencing rejects before anything
-            // applies.
-            let truncated_prefix_load = |node_idx: usize, lease: &Lease, file: &CatalogFile| {
-                let keep = file.text.lines().count() / 2;
-                let prefix = line_prefix(&file.text, keep);
-                let s = sessions[node_idx].lock();
-                s.set_fence(Some(Fence {
-                    key: lease.key,
-                    epoch: lease.epoch,
-                }));
-                let _ = match journal {
-                    Some(j) => {
-                        crate::bulk::load_catalog_text_with_journal(&s, cfg, &file.name, prefix, j)
-                    }
-                    None => crate::bulk::load_catalog_text(&s, cfg, &file.name, prefix),
-                };
-            };
-            let kill_loader = |node_idx: usize, lease: &Lease, file: &CatalogFile| {
-                server.note_injected_fault(FaultKind::LoaderKill);
-                loader_kills.inc();
-                truncated_prefix_load(node_idx, lease, file);
-                {
-                    // The dead connection's open transaction is aborted by
-                    // the database (modeled as a rollback; deliberately
-                    // unfenced so cleanup always works).
-                    let s = sessions[node_idx].lock();
-                    for _ in 0..3 {
-                        if s.rollback().is_ok() {
-                            break;
-                        }
-                    }
-                }
-                // The Condor node restarts with a fresh loader process;
-                // the lease is left to expire.
-                let fresh = server.connect();
-                fresh.set_call_timeout(retry.call_timeout);
-                *sessions[node_idx].lock() = fresh;
-            };
-            let stall_loader = |node_idx: usize, lease: &Lease, file: &CatalogFile| {
-                server.note_injected_fault(FaultKind::LoaderStall);
-                loader_stalls.inc();
-                truncated_prefix_load(node_idx, lease, file);
-                // Freeze: no heartbeats until the supervisor presumes us
-                // dead and reassigns the file. (The poll drives expiry,
-                // so this converges even on a single-node fleet.)
-                while !supervisor.lease_lost(lease) {
-                    std::thread::sleep(poll);
-                }
-                // Zombie wakes and flushes the remainder under the stale
-                // epoch: the fence rejects it before a single row lands.
-                // Other injected faults can beat the fence check to the
-                // wire, so insist a few times — once the lease is
-                // reclaimed the fence verdict is permanent.
-                let s = sessions[node_idx].lock();
-                for _ in 0..16 {
-                    let res = match journal {
-                        Some(j) => crate::bulk::load_catalog_text_with_journal(
-                            &s, cfg, &file.name, &file.text, j,
-                        ),
-                        None => crate::bulk::load_catalog_text(&s, cfg, &file.name, &file.text),
-                    };
-                    match res {
-                        Err(e) if classify(&e) == ErrorClass::Fenced => {
-                            fencing_rejections.inc();
-                            break;
-                        }
-                        // Transient noise before the fence check; retry.
-                        Err(_) => continue,
-                        // Nothing left to send (the journal already covers
-                        // the whole file): no stale call, nothing landed.
-                        Ok(_) => break,
-                    }
-                }
-                for _ in 0..3 {
-                    if s.rollback().is_ok() {
-                        break;
-                    }
-                }
-                s.set_fence(None);
-            };
-
-            let fleet_worker = |node_idx: usize| -> Duration {
-                let mut busy = Duration::ZERO;
-                loop {
-                    match supervisor.next_assignment(node_idx) {
-                        Assignment::Done => return busy,
-                        Assignment::Wait => std::thread::sleep(poll),
-                        Assignment::Grant(lease) => {
-                            let t0 = Instant::now();
-                            let file = &files[lease.file_idx];
-                            if let Some(j) = journal {
-                                j.record_epoch(&file.name, lease.epoch);
-                            }
-                            match server.fault_plan().and_then(|p| p.decide_loader_fault()) {
-                                Some(FaultKind::LoaderKill) => kill_loader(node_idx, &lease, file),
-                                Some(FaultKind::LoaderStall) => {
-                                    stall_loader(node_idx, &lease, file)
-                                }
-                                _ => match drive_file(node_idx, file, Some(&lease), &renew) {
-                                    FileOutcome::Retired => supervisor.complete(&lease),
-                                    FileOutcome::Requeue => supervisor.requeue(&lease),
-                                    FileOutcome::TakenAway => {} // already reclaimed
-                                },
-                            }
-                            busy += t0.elapsed();
-                        }
-                    }
-                }
-            };
-
-            let busy = run_workers(nodes, &fleet_worker)?;
-            // Files whose reclaim or requeue budget ran out are
-            // failures, not limbo.
-            for a in supervisor.take_abandoned() {
-                give_up(&files[a.file_idx], a.reason);
-            }
-            busy
-        }
-        AssignmentPolicy::Static => {
-            // Round-robin pre-partition (the baseline §4.4 argues
-            // against), plus bounded requeue rounds for breaker trips.
-            let partitions: Vec<Mutex<VecDeque<&CatalogFile>>> =
-                (0..nodes).map(|_| Mutex::new(VecDeque::new())).collect();
-            for (i, f) in files.iter().enumerate() {
-                partitions[i % nodes].lock().push_back(f);
-            }
-            let requeued: Mutex<Vec<&CatalogFile>> = Mutex::new(Vec::new());
-            let no_lease: &(dyn Fn(&Lease) -> bool + Sync) = &|_| true;
-            let static_worker = |node_idx: usize| -> Duration {
-                let t0 = Instant::now();
-                while let Some(file) = { partitions[node_idx].lock().pop_front() } {
-                    if let FileOutcome::Requeue = drive_file(node_idx, file, None, no_lease) {
-                        requeued.lock().push(file);
-                    }
-                }
-                t0.elapsed()
-            };
-            let mut busy = run_workers(nodes, &static_worker)?;
-
-            // Requeue rounds: files orphaned by breaker trips go back
-            // through a shared queue (fresh connections, refreshed
-            // budgets) until it drains, the server crashes, or the round
-            // budget runs out.
-            for _ in 0..MAX_REQUEUE_ROUNDS {
-                let queue: Vec<&CatalogFile> = std::mem::take(&mut *requeued.lock());
-                if queue.is_empty() {
-                    break;
-                }
-                if server.is_crashed() {
-                    for f in queue {
-                        give_up(
-                            f,
-                            "server crashed before the requeued file could load".into(),
-                        );
-                    }
-                    break;
-                }
-                let shared: Mutex<VecDeque<&CatalogFile>> = Mutex::new(queue.into());
-                let round_worker = |node_idx: usize| -> Duration {
-                    let t0 = Instant::now();
-                    while let Some(file) = { shared.lock().pop_front() } {
-                        if let FileOutcome::Requeue = drive_file(node_idx, file, None, no_lease) {
-                            requeued.lock().push(file);
-                        }
-                    }
-                    t0.elapsed()
-                };
-                let round_busy = run_workers(nodes, &round_worker)?;
-                for (b, extra) in busy.iter_mut().zip(round_busy) {
-                    *b += extra;
-                }
-            }
-            for f in std::mem::take(&mut *requeued.lock()) {
-                give_up(
-                    f,
-                    format!("requeue budget ({MAX_REQUEUE_ROUNDS} rounds) exhausted"),
-                );
-            }
-            busy
-        }
-    };
+    let busy = run_workers(nodes, &worker)?;
     let makespan = start.elapsed();
-
-    // Persist the newest committed-line watermarks' sibling manifest: the
-    // journal already recorded each grant's epoch as it was issued, so a
-    // restarted coordinator fences past everything this run handed out.
+    // Files whose reclaim or requeue budget ran out are failures, not limbo.
+    for a in supervisor.take_abandoned() {
+        give_up(&files[a.file_idx], a.reason);
+    }
 
     // Close out any session-held transactions (loads commit per policy, but
     // be safe if a file had zero commits). Best effort: on a crashed or
@@ -672,9 +573,7 @@ mod tests {
     /// exercise reclamation (wall-clock TTLs), but long enough that a
     /// healthy file attempt finishes inside one lease term.
     fn quick_fleet() -> crate::fleet::FleetPolicy {
-        crate::fleet::FleetPolicy::default()
-            .with_lease_ttl(Duration::from_millis(250))
-            .with_heartbeat_interval(Duration::from_millis(50))
+        crate::fleet::FleetPolicy::default().with_lease_ttl(Duration::from_millis(250))
     }
 
     #[test]
@@ -774,6 +673,67 @@ mod tests {
         .unwrap();
         assert_eq!(report.rows_loaded(), expected.total_loadable());
         assert_eq!(report.nodes, 2);
+    }
+
+    #[test]
+    fn write_conflict_on_a_held_key_waits_under_the_requeue_budget() {
+        // Another open transaction stages a key the night needs and holds
+        // it for about 100 ms — longer than the 2 + 4 + 8 + 16 ms that a
+        // 4-attempt stall budget would wait. The loader must back off and
+        // requeue until the holder resolves, not give the file up.
+        let cfg = GenConfig::night(59, 100).with_files(2);
+        let files = generate_observation(&cfg);
+        let expected = aggregate_expected(&files);
+        // One real row of the night, learned from a scratch load.
+        let scratch = fresh_server();
+        load_night(
+            &scratch,
+            &files,
+            &LoaderConfig::test(),
+            1,
+            AssignmentPolicy::Dynamic,
+        )
+        .unwrap();
+        let columns = scratch.engine().table_id("ccd_columns").unwrap();
+        let row = scratch
+            .engine()
+            .scan_where(columns, None)
+            .unwrap()
+            .remove(0);
+
+        let server = fresh_server();
+        let engine = server.engine();
+        let holder = engine.begin();
+        engine.insert_row(holder, columns, &row).unwrap();
+        let night = std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(100));
+                engine.rollback(holder).unwrap();
+            });
+            load_night_with_journal(
+                &server,
+                &files,
+                &LoaderConfig::test(),
+                1,
+                AssignmentPolicy::Dynamic,
+                None,
+            )
+            .unwrap()
+        });
+        assert!(night.is_complete(), "failed: {:?}", night.failed_files);
+        assert!(
+            night
+                .faults_survived
+                .get("write_conflict")
+                .copied()
+                .unwrap_or(0)
+                > 0,
+            "the held key never conflicted — vacuous"
+        );
+        for (table, expect) in &expected.loadable {
+            let tid = server.engine().table_id(table).unwrap();
+            assert_eq!(server.engine().row_count(tid), *expect, "{table}");
+        }
     }
 
     #[test]

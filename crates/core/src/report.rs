@@ -352,15 +352,19 @@ impl ModeledCost {
     }
 
     /// The difference `self - baseline` (for measuring one run on a shared
-    /// server).
+    /// server), saturating at zero: the `model.*_us` gauges are
+    /// last-writer-wins, so a server restarted onto a shared registry can
+    /// read below a baseline taken from its predecessor.
     pub fn since(self, baseline: ModeledCost) -> ModeledCost {
         ModeledCost {
-            network_us: self.network_us - baseline.network_us,
-            server_cpu_us: self.server_cpu_us - baseline.server_cpu_us,
-            disk_us: self.disk_us - baseline.disk_us,
-            lock_wait_us: self.lock_wait_us - baseline.lock_wait_us,
-            cache_scan_us: self.cache_scan_us - baseline.cache_scan_us,
-            client_paging_us: self.client_paging_us - baseline.client_paging_us,
+            network_us: self.network_us.saturating_sub(baseline.network_us),
+            server_cpu_us: self.server_cpu_us.saturating_sub(baseline.server_cpu_us),
+            disk_us: self.disk_us.saturating_sub(baseline.disk_us),
+            lock_wait_us: self.lock_wait_us.saturating_sub(baseline.lock_wait_us),
+            cache_scan_us: self.cache_scan_us.saturating_sub(baseline.cache_scan_us),
+            client_paging_us: self
+                .client_paging_us
+                .saturating_sub(baseline.client_paging_us),
         }
     }
 
@@ -472,6 +476,26 @@ mod tests {
         let d = a.since(b);
         assert_eq!(d.network_us, 60);
         assert_eq!(d.total(), Duration::from_micros(160));
+    }
+
+    #[test]
+    fn modeled_cost_since_a_higher_baseline_saturates_at_zero() {
+        // A restarted server's fresh gauges read below the baseline its
+        // predecessor left in a shared registry.
+        let baseline = ModeledCost {
+            network_us: 500,
+            disk_us: 90,
+            client_paging_us: 3,
+            ..Default::default()
+        };
+        let current = ModeledCost {
+            network_us: 200,
+            disk_us: 100,
+            ..Default::default()
+        };
+        let d = current.since(baseline);
+        assert_eq!((d.network_us, d.disk_us, d.client_paging_us), (0, 10, 0));
+        assert_eq!(d.total(), Duration::from_micros(10));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * **Classification** ([`classify`]): which database errors are worth
 //!   retrying (connection resets, busy rejections, timeouts, disk-full,
-//!   corrupt payloads), which mean the server itself is gone, and which are
+//!   corrupt payloads), which wait on another open transaction (write
+//!   conflicts), which mean the server itself is gone, and which are
 //!   permanent.
 //! * **Backoff** ([`Backoff`]): exponential delay between retries with
 //!   deterministic, seeded jitter — reproducible run to run, but still
@@ -41,6 +42,15 @@ pub enum ErrorClass {
     /// Worth retrying on the same server: the call (or its transaction)
     /// can be re-driven without losing or duplicating rows.
     Transient,
+    /// A key the call needs is staged by another *still-open*
+    /// transaction. Once that transaction resolves, a retry either
+    /// succeeds (it rolled back) or surfaces a real duplicate (it
+    /// committed). Nothing is wrong with the connection or the load, so
+    /// the loader neither degrades nor counts a stalled attempt: it backs
+    /// off and returns the file to the lease table, under the file's
+    /// requeue budget. Treating it as permanent would skip — and thereby
+    /// lose — rows whose conflicting copy never commits.
+    Contended,
     /// The server itself is down; retrying on any connection is futile
     /// until the repository is recovered into a fresh server.
     ServerLost,
@@ -66,13 +76,8 @@ pub fn classify(e: &DbError) -> ErrorClass {
         | DbError::ServerBusy(_)
         | DbError::Timeout(_)
         | DbError::DiskFull(_)
-        // A write conflict means the key is held by another *still-open*
-        // transaction: once it resolves, a retry either succeeds (it
-        // rolled back) or surfaces a real duplicate (it committed).
-        // Treating it as permanent would skip — and thereby lose — rows
-        // whose conflicting copy never commits.
-        | DbError::WriteConflict(_)
         | DbError::Corruption(_) => ErrorClass::Transient,
+        DbError::WriteConflict(_) => ErrorClass::Contended,
         DbError::ServerDown(_) => ErrorClass::ServerLost,
         DbError::Batch { cause, .. } => classify(cause),
         // A fenced-out call means the caller's lease was reclaimed — file
@@ -357,8 +362,8 @@ pub struct DegradeTransition {
 /// Highest degradation level: per-row inserts.
 pub const MAX_DEGRADE_LEVEL: u32 = 3;
 
-/// Lowest rung a per-call fault (reset, busy, timeout, disk-full, write
-/// conflict) may push the ladder to: arrays halved twice, still in batch
+/// Lowest rung a per-call fault (reset, busy, timeout, disk-full) may push
+/// the ladder to: arrays halved twice, still in batch
 /// mode. Smaller calls shrink the retransmit cost of such a fault, but
 /// per-row inserts do not route around it — they only multiply the calls
 /// a commit needs, so under a steady fault rate no attempt reaches its
@@ -527,7 +532,7 @@ mod tests {
             (DbError::Timeout("slow".into()), Transient),
             (DbError::DiskFull("log".into()), Transient),
             (DbError::Corruption("cksum".into()), Transient),
-            (DbError::WriteConflict("staged by txn 7".into()), Transient),
+            (DbError::WriteConflict("staged by txn 7".into()), Contended),
             (DbError::ServerDown("crash".into()), ServerLost),
             (DbError::FencedOut("stale epoch".into()), Fenced),
             (DbError::NoTransaction, Permanent),
@@ -543,6 +548,11 @@ mod tests {
         };
         assert_eq!(classify(&wrapped), Transient);
         assert_eq!(fault_label(&wrapped), "reset");
+        let conflict = DbError::Batch {
+            offset: 0,
+            cause: Box::new(DbError::WriteConflict("staged by txn 7".into())),
+        };
+        assert_eq!(classify(&conflict), Contended);
         assert_eq!(
             fault_label(&DbError::FencedOut("stale epoch".into())),
             "fenced_out"

@@ -358,37 +358,41 @@ impl ShardLoader {
     }
 
     fn flush_zone_inner(&self, session: &Session, tables: &[Vec<Row>]) -> DbResult<u64> {
-        let mut applied = 0u64;
-        for (idx, rows) in tables.iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            let stmt = session.prepare_insert(CATALOG_TABLES[idx])?;
-            let mut first = 0usize;
-            while first < rows.len() {
-                let end = (first + self.cfg.batch_size).min(rows.len());
-                let outcome = session.execute_batch(&stmt, &rows[first..end])?;
-                applied += outcome.applied as u64;
-                match outcome.failed {
-                    None => first = end,
-                    Some((offset, err)) => {
-                        // Same contract as the single-engine bulk path:
-                        // only proven-bad rows (constraint/type) are
-                        // skippable; anything else aborts to the requeue
-                        // layer where the whole file replays.
-                        if classify(&err) != ErrorClass::Permanent {
-                            return Err(err);
-                        }
-                        first = first + offset + 1;
-                    }
-                }
-            }
-        }
-        session.commit()?;
+        let applied = insert_zone_rows(session, tables, self.cfg.batch_size)?;
         self.m_flushes.inc();
         self.m_rows.add(applied);
         Ok(applied)
     }
+}
+
+/// Insert one zone's share of a file — each catalog table in batches of at
+/// most `batch_size` rows — and commit, returning the rows applied. Same
+/// contract as the single-engine bulk path: only proven-bad rows
+/// (constraint/type) are skipped; any other failure aborts, leaving the
+/// transaction for the caller to roll back.
+fn insert_zone_rows(session: &Session, tables: &[Vec<Row>], batch_size: usize) -> DbResult<u64> {
+    let mut applied = 0u64;
+    for (idx, rows) in tables.iter().enumerate() {
+        if rows.is_empty() {
+            continue;
+        }
+        let stmt = session.prepare_insert(CATALOG_TABLES[idx])?;
+        let mut first = 0usize;
+        while first < rows.len() {
+            let end = first + batch_size.min(rows.len() - first);
+            let outcome = session.execute_batch(&stmt, &rows[first..end])?;
+            applied += outcome.applied as u64;
+            match outcome.failed {
+                None => first = end,
+                Some((offset, err)) if classify(&err) == ErrorClass::Permanent => {
+                    first = first + offset + 1;
+                }
+                Some((_, err)) => return Err(err),
+            }
+        }
+    }
+    session.commit()?;
+    Ok(applied)
 }
 
 /// Knobs for the shard supervisor.
@@ -619,31 +623,8 @@ impl ShardSupervisor {
             if !(whole || zone_done) {
                 continue;
             }
-            let session = server.connect();
-            for (idx, rows) in routed.zone_rows(zone).iter().enumerate() {
-                if rows.is_empty() {
-                    continue;
-                }
-                let stmt = session
-                    .prepare_insert(CATALOG_TABLES[idx])
-                    .map_err(|e| e.to_string())?;
-                let mut first = 0usize;
-                while first < rows.len() {
-                    let outcome = session
-                        .execute_batch(&stmt, &rows[first..])
-                        .map_err(|e| e.to_string())?;
-                    match outcome.failed {
-                        None => break,
-                        Some((offset, err)) => {
-                            if classify(&err) != ErrorClass::Permanent {
-                                return Err(err.to_string());
-                            }
-                            first = first + offset + 1;
-                        }
-                    }
-                }
-            }
-            session.commit().map_err(|e| e.to_string())?;
+            insert_zone_rows(&server.connect(), routed.zone_rows(zone), usize::MAX)
+                .map_err(|e| e.to_string())?;
         }
         Ok(server)
     }

@@ -398,7 +398,9 @@ impl Engine {
         }
         let log_dev = self.farm.device(StorageRole::Log);
         self.wal.append(&LogRecord::Commit(txn), log_dev);
-        self.wal.flush_sync(log_dev);
+        // A torn log means the server crashed mid-flush: this commit can
+        // never be durable, so it must not be acknowledged.
+        self.wal.flush_sync(log_dev)?;
         self.txns.end(txn);
         self.stats.commits.inc();
         Ok(())
@@ -407,19 +409,20 @@ impl Engine {
     /// Fault injection: a crash in the middle of the commit's log flush.
     ///
     /// The commit record is appended, but the flush tears `torn_tail` bytes
-    /// short of durability — on a torn tail inside the commit record the
-    /// transaction is *not* durably committed and a redo scan drops all its
-    /// work. The transaction is deliberately left open (the crashed server
-    /// never answered), so engine-side state matches what a power cut at
-    /// this instant would leave: recovery must come from [`Engine::
-    /// recover_from_log`] on [`Engine::durable_log`].
+    /// short of its end — the transaction is *not* durably committed and a
+    /// redo scan drops all its work, along with any commit another session
+    /// appended after it (whose own flush then fails). The transaction is
+    /// deliberately left open (the crashed server never answered), so
+    /// engine-side state matches what a power cut at this instant would
+    /// leave: recovery must come from [`Engine::recover_from_log`] on
+    /// [`Engine::durable_log`].
     pub fn simulate_torn_commit_flush(&self, txn: TxnId, torn_tail: usize) -> DbResult<()> {
         if !self.txns.is_active(txn) {
             return Err(DbError::NoTransaction);
         }
         let log_dev = self.farm.device(StorageRole::Log);
-        self.wal.append(&LogRecord::Commit(txn), log_dev);
-        self.wal.flush_torn(log_dev, torn_tail);
+        let end = self.wal.append(&LogRecord::Commit(txn), log_dev);
+        self.wal.flush_torn(log_dev, end, torn_tail);
         Ok(())
     }
 
@@ -986,7 +989,8 @@ impl Engine {
     /// Flush everything (end-of-load checkpoint so runs account all I/O).
     pub fn checkpoint(&self) {
         self.writer_cycle();
-        self.wal.flush_sync(self.farm.device(StorageRole::Log));
+        // A torn log takes no more bytes; there is nothing to account.
+        let _ = self.wal.flush_sync(self.farm.device(StorageRole::Log));
     }
 
     // --------------------------------------------------------------- query
@@ -1819,6 +1823,39 @@ mod tests {
             .pk_get(f2, &Key(vec![Value::Int(3)]))
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn torn_commit_flush_fails_a_commit_appended_behind_it() {
+        // Sessions A and B commit concurrently: A's commit record is
+        // appended, then B's, then A's flush tears. B's commit must not be
+        // acknowledged, and recovery must hold neither transaction.
+        let schemas = || {
+            vec![TableBuilder::new("frames")
+                .col("frame_id", DataType::Int)
+                .col("exposure", DataType::Float)
+                .pk(&["frame_id"])
+                .build()
+                .unwrap()]
+        };
+        let e = Engine::for_tests();
+        for s in schemas() {
+            e.create_table(s).unwrap();
+        }
+        let f = e.table_id("frames").unwrap();
+        let a = e.begin();
+        e.insert_row(a, f, &frame(1)).unwrap();
+        let b = e.begin();
+        e.insert_row(b, f, &frame(2)).unwrap();
+        let log_dev = e.farm.device(StorageRole::Log);
+        let a_end = e.wal.append(&LogRecord::Commit(a), log_dev);
+        e.wal.append(&LogRecord::Commit(b), log_dev);
+        e.wal.flush_torn(log_dev, a_end, 4);
+        assert!(matches!(e.commit(b), Err(DbError::ServerDown(_))));
+        let recovered =
+            Engine::recover_from_log(DbConfig::test(), schemas(), &e.durable_log()).unwrap();
+        let f2 = recovered.table_id("frames").unwrap();
+        assert_eq!(recovered.row_count(f2), 0, "neither A nor B is durable");
     }
 
     #[test]

@@ -174,6 +174,9 @@ struct WalBuffers {
     pending: BytesMut,
     /// The durable log (what survives a crash).
     durable: Vec<u8>,
+    /// A crash tore a flush: nothing more reaches the device, and no
+    /// later commit may be acknowledged.
+    torn: bool,
 }
 
 /// The write-ahead log of one engine.
@@ -203,23 +206,38 @@ impl Wal {
     }
 
     /// Append a record; flushes to `log_dev` if the buffer is full.
-    pub fn append(&self, rec: &LogRecord, log_dev: &DiskDevice) {
+    /// Returns the log offset just past the record.
+    pub fn append(&self, rec: &LogRecord, log_dev: &DiskDevice) -> usize {
         let mut bufs = self.buffers.lock();
         rec.encode(&mut bufs.pending);
         self.records.inc();
+        let end = bufs.durable.len() + bufs.pending.len();
         if bufs.pending.len() >= self.buffer_capacity {
             self.flush_locked(&mut bufs, log_dev, false);
         }
+        end
     }
 
-    /// Synchronously flush the buffer with a barrier (commit path).
-    pub fn flush_sync(&self, log_dev: &DiskDevice) {
+    /// Synchronously flush the buffer with a barrier (commit path). Fails
+    /// once a crash has torn the log: a record appended after the torn
+    /// flush began can never become durable, so its commit must not be
+    /// acknowledged.
+    pub fn flush_sync(&self, log_dev: &DiskDevice) -> DbResult<()> {
         let mut bufs = self.buffers.lock();
+        if bufs.torn {
+            return Err(DbError::ServerDown(
+                "the log was torn by a crash; recover from the durable log".into(),
+            ));
+        }
         self.flush_locked(&mut bufs, log_dev, true);
+        Ok(())
     }
 
     fn flush_locked(&self, bufs: &mut WalBuffers, log_dev: &DiskDevice, barrier: bool) {
         let pending = bufs.pending.split();
+        if bufs.torn {
+            return;
+        }
         if !pending.is_empty() {
             let pages = pending.len().div_ceil(PAGE_BYTES) as u64;
             log_dev.write_run(pages, Access::Sequential);
@@ -233,19 +251,26 @@ impl Wal {
         }
     }
 
-    /// A flush interrupted by a crash: only a prefix of the buffered bytes
-    /// reaches the device — the final `torn_tail` bytes are lost, typically
-    /// cutting the last record mid-encode. [`decode_log`] discards the
+    /// A flush interrupted by a crash: the buffered bytes reach the device
+    /// only up to `torn_tail` bytes short of log offset `upto` (the end of
+    /// the crashing commit's record, as [`Wal::append`] returned it),
+    /// cutting that record mid-encode. Records other sessions appended
+    /// after it never reach the device. [`decode_log`] discards the
     /// truncated record on recovery, exactly as a real redo scan does.
     ///
-    /// No barrier is issued: the crash happens before the sync completes.
-    pub fn flush_torn(&self, log_dev: &DiskDevice, torn_tail: usize) {
+    /// No barrier is issued: the crash happens before the sync completes,
+    /// and the log stays torn — every later [`Wal::flush_sync`] fails.
+    pub fn flush_torn(&self, log_dev: &DiskDevice, upto: usize, torn_tail: usize) {
         let mut bufs = self.buffers.lock();
         let pending = bufs.pending.split();
-        if pending.is_empty() {
+        let already_torn = std::mem::replace(&mut bufs.torn, true);
+        if pending.is_empty() || already_torn {
             return;
         }
-        let keep = pending.len().saturating_sub(torn_tail);
+        let keep = upto
+            .saturating_sub(torn_tail)
+            .saturating_sub(bufs.durable.len())
+            .min(pending.len());
         let pages = pending.len().div_ceil(PAGE_BYTES) as u64;
         log_dev.write_run(pages, Access::Sequential);
         self.flushes.inc();
@@ -436,7 +461,7 @@ mod tests {
         // Not yet flushed: a crash now loses everything.
         assert!(wal.durable_log().is_empty());
         wal.append(&LogRecord::Commit(TxnId(1)), &d);
-        wal.flush_sync(&d);
+        wal.flush_sync(&d).unwrap();
         let rec = recover(&wal.durable_log());
         assert_eq!(rec.len(), 1);
         match &rec[0] {
@@ -453,7 +478,7 @@ mod tests {
         wal.append(&insert(1, 0, b"committed"), &d);
         wal.append(&LogRecord::Commit(TxnId(1)), &d);
         wal.append(&insert(2, 0, b"in-flight"), &d);
-        wal.flush_sync(&d);
+        wal.flush_sync(&d).unwrap();
         let rec = recover(&wal.durable_log());
         assert_eq!(rec.len(), 1);
         match &rec[0] {
@@ -468,7 +493,7 @@ mod tests {
         let d = dev();
         wal.append(&insert(3, 1, b"undone"), &d);
         wal.append(&LogRecord::Rollback(TxnId(3)), &d);
-        wal.flush_sync(&d);
+        wal.flush_sync(&d).unwrap();
         assert!(recover(&wal.durable_log()).is_empty());
     }
 
@@ -492,10 +517,10 @@ mod tests {
         wal.append(&insert(1, 0, b"first"), &d);
         wal.append(&LogRecord::Commit(TxnId(1)), &d);
         wal.append(&insert(2, 0, b"second"), &d);
-        wal.append(&LogRecord::Commit(TxnId(2)), &d);
+        let end = wal.append(&LogRecord::Commit(TxnId(2)), &d);
         // Tear 4 bytes off the second commit record (13 bytes encoded:
         // 9-byte body + 4-byte CRC trailer).
-        wal.flush_torn(&d, 4);
+        wal.flush_torn(&d, end, 4);
         let recs = decode_log(&wal.durable_log());
         assert_eq!(recs.len(), 3, "torn commit record must be discarded");
         let rec = recover(&wal.durable_log());
@@ -508,10 +533,29 @@ mod tests {
     }
 
     #[test]
+    fn torn_flush_cuts_the_crashing_record_and_drops_later_appends() {
+        let wal = Wal::new(1 << 20, &Registry::new());
+        let d = dev();
+        wal.append(&insert(1, 0, b"first"), &d);
+        let a_end = wal.append(&LogRecord::Commit(TxnId(1)), &d);
+        // Another session appends its commit before the crashing flush
+        // runs: the tear must cut the crashing record, not this one.
+        wal.append(&LogRecord::Commit(TxnId(2)), &d);
+        wal.flush_torn(&d, a_end, 3);
+        assert_eq!(wal.durable_len(), a_end - 3);
+        assert!(recover(&wal.durable_log()).is_empty(), "nothing committed");
+        // The torn log acknowledges no later commit and takes no bytes.
+        assert!(wal.flush_sync(&d).is_err());
+        wal.append(&insert(3, 0, b"late"), &d);
+        assert!(wal.flush_sync(&d).is_err());
+        assert_eq!(wal.durable_len(), a_end - 3);
+    }
+
+    #[test]
     fn torn_flush_of_empty_buffer_is_a_noop() {
         let wal = Wal::new(1 << 20, &Registry::new());
         let d = dev();
-        wal.flush_torn(&d, 5);
+        wal.flush_torn(&d, 0, 5);
         assert!(wal.durable_log().is_empty());
         assert_eq!(d.writes(), 0);
     }
@@ -560,7 +604,7 @@ mod tests {
         let d = dev();
         wal.append(&insert(1, 0, b"row"), &d);
         wal.append(&LogRecord::Commit(TxnId(1)), &d);
-        wal.flush_sync(&d);
+        wal.flush_sync(&d).unwrap();
         let len = wal.durable_len();
         assert!(len > 0);
         assert!(!wal.rot_durable_bit(len, 0), "out of range is a no-op");
@@ -579,12 +623,12 @@ mod tests {
         let wal = Wal::new(1 << 20, &Registry::new());
         let d = dev();
         wal.append(&insert(1, 0, b"abc"), &d);
-        wal.flush_sync(&d);
+        wal.flush_sync(&d).unwrap();
         assert!(wal.bytes_flushed() > 0);
         assert_eq!(wal.records(), 1);
         // Idempotent flush of empty buffer: no extra device writes.
         let w = d.writes();
-        wal.flush_sync(&d);
+        wal.flush_sync(&d).unwrap();
         assert_eq!(d.writes(), w);
     }
 }

@@ -55,9 +55,7 @@ fn fast_queries_never_observe_a_partial_flush_while_a_loader_dies() {
                 // A short lease keeps the kill→reclaim→resume cycle from
                 // dominating the test's wall clock.
                 let loader = LoaderConfig::test().with_fleet(
-                    FleetPolicy::default()
-                        .with_lease_ttl(std::time::Duration::from_millis(250))
-                        .with_heartbeat_interval(std::time::Duration::from_millis(60)),
+                    FleetPolicy::default().with_lease_ttl(std::time::Duration::from_millis(250)),
                 );
                 let mut remaining = files.clone();
                 let mut generations = 0;
