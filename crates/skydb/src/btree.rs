@@ -64,6 +64,16 @@ pub struct BPlusTree {
     dirty: HashSet<u32>,
 }
 
+/// `v.split_off(at)`, but the new half is allocated at `cap`, the most a
+/// node holds before it splits, so inserting into it never reallocates.
+/// Concurrent loaders insert into nodes another thread allocated, and glibc
+/// reallocates a block under the lock of the thread that allocated it.
+fn split_off_full<T>(v: &mut Vec<T>, at: usize, cap: usize) -> Vec<T> {
+    let mut right = Vec::with_capacity(cap);
+    right.extend(v.drain(at..));
+    right
+}
+
 /// Modeled page size a node occupies (drives fanout from key width).
 const NODE_BYTES: usize = 8192;
 /// Per-entry bookkeeping overhead assumed when deriving fanout.
@@ -208,7 +218,7 @@ impl BPlusTree {
                 } else {
                     entries.len() / 2
                 };
-                let right_entries = entries.split_off(mid);
+                let right_entries = split_off_full(entries, mid, order + 1);
                 let sep = right_entries[0].clone();
                 let Node::Leaf { next, .. } = &mut self.nodes[node as usize] else {
                     unreachable!()
@@ -241,9 +251,9 @@ impl BPlusTree {
                 // Split internal: middle separator moves up.
                 let mid = seps.len() / 2;
                 let promoted = seps[mid].clone();
-                let right_seps = seps.split_off(mid + 1);
+                let right_seps = split_off_full(seps, mid + 1, order + 1);
                 seps.pop(); // remove promoted
-                let right_children = children.split_off(mid + 1);
+                let right_children = split_off_full(children, mid + 1, order + 2);
                 let right = self.alloc(Node::Internal {
                     seps: right_seps,
                     children: right_children,
@@ -576,6 +586,29 @@ mod tests {
             assert_eq!(t.get_first(&ikey(i)), Some(i as u64), "missing key {i}");
         }
         assert_eq!(t.get_first(&ikey(100)), None);
+        t.validate().unwrap();
+    }
+
+    #[test]
+    fn split_nodes_are_allocated_at_full_size() {
+        let order = 8;
+        let mut t = BPlusTree::new(false, order);
+        // Ascending keys split 90-10, scattered ones 50-50.
+        for i in 0..200 {
+            t.insert(ikey(i), i as u64).unwrap();
+            t.insert(ikey((i * 7919) % 1000 + 1000), i as u64).unwrap();
+        }
+        assert!(t.height() > 2, "internal nodes split too");
+        for (id, node) in t.nodes.iter().enumerate() {
+            match node {
+                Node::Leaf { entries, .. } => assert!(entries.capacity() > order, "leaf {id}"),
+                Node::Internal { seps, children } if id as u32 != t.root => {
+                    assert!(seps.capacity() > order, "node {id}");
+                    assert!(children.capacity() > order + 1, "node {id}");
+                }
+                Node::Internal { .. } => {}
+            }
+        }
         t.validate().unwrap();
     }
 

@@ -137,7 +137,14 @@ impl TableHeap {
         let new_page = match self.pages.last() {
             Some(p) if p.fits(stored.len()) && p.rows.len() < u16::MAX as usize => false,
             _ => {
-                self.pages.push(Page::default());
+                // Size the slot directory like the page before it, so that
+                // filling the page does not reallocate it (see `Wal::new`
+                // for why concurrent loaders care).
+                let slots = self.pages.last().map_or(0, |p| p.rows.len());
+                self.pages.push(Page {
+                    rows: Vec::with_capacity(slots),
+                    bytes: 0,
+                });
                 true
             }
         };
@@ -299,6 +306,17 @@ mod tests {
         assert_eq!(h.row_count(), 3);
         assert_eq!(third.row_id.page(), 1);
         assert_eq!(third.row_id.slot(), 0);
+    }
+
+    #[test]
+    fn a_new_page_reserves_the_slots_of_the_one_before() {
+        let mut h = TableHeap::new(TableId(0));
+        while h.page_count() < 3 {
+            h.insert(row(60));
+        }
+        let before = h.pages[1].rows.len();
+        assert!(before > 100, "a page holds many small rows");
+        assert!(h.pages[2].rows.capacity() >= before);
     }
 
     #[test]

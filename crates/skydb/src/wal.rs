@@ -195,9 +195,19 @@ impl Wal {
     /// automatic background flush. Counters are registered in `obs` under
     /// `wal.*`.
     pub fn new(buffer_capacity: usize, obs: &Registry) -> Self {
+        let buffer_capacity = buffer_capacity.max(PAGE_BYTES);
         Wal {
-            buffers: Mutex::new(WalBuffers::default()),
-            buffer_capacity: buffer_capacity.max(PAGE_BYTES),
+            // The buffer is allocated once, with room for the record that
+            // crosses the flush threshold, and kept across flushes. Grown
+            // piecemeal instead, it is reallocated by whichever session
+            // appends next, and glibc reallocates a block under the lock
+            // of the thread that allocated it: concurrent loaders then put
+            // each other to sleep in the allocator.
+            buffers: Mutex::new(WalBuffers {
+                pending: BytesMut::with_capacity(buffer_capacity + PAGE_BYTES),
+                ..WalBuffers::default()
+            }),
+            buffer_capacity,
             flushes: obs.counter("wal.flushes"),
             bytes_flushed: obs.counter("wal.bytes_flushed"),
             records: obs.counter("wal.records"),
@@ -234,8 +244,13 @@ impl Wal {
     }
 
     fn flush_locked(&self, bufs: &mut WalBuffers, log_dev: &DiskDevice, barrier: bool) {
-        let pending = bufs.pending.split();
-        if bufs.torn {
+        let WalBuffers {
+            pending,
+            durable,
+            torn,
+        } = bufs;
+        if *torn {
+            pending.clear();
             return;
         }
         if !pending.is_empty() {
@@ -243,7 +258,8 @@ impl Wal {
             log_dev.write_run(pages, Access::Sequential);
             self.flushes.inc();
             self.bytes_flushed.add(pending.len() as u64);
-            bufs.durable.extend_from_slice(&pending);
+            durable.extend_from_slice(pending);
+            pending.clear();
         }
         if barrier {
             self.fsyncs.inc();
@@ -469,6 +485,23 @@ mod tests {
             other => panic!("expected insert, got {other:?}"),
         }
         assert_eq!(d.syncs(), 1);
+    }
+
+    #[test]
+    fn flushes_keep_the_buffer_allocation() {
+        let wal = Wal::new(PAGE_BYTES, &Registry::new());
+        let d = dev();
+        let buffer = wal.buffers.lock().pending.as_ptr();
+        // Fill the buffer past its threshold (an automatic flush) several
+        // times over, then flush at commit.
+        for i in 0..64 {
+            wal.append(&insert(1, 0, &[i as u8; 500]), &d);
+        }
+        wal.append(&LogRecord::Commit(TxnId(1)), &d);
+        wal.flush_sync(&d).unwrap();
+        assert!(wal.flushes() > 2, "the appends crossed the threshold");
+        assert_eq!(wal.buffers.lock().pending.as_ptr(), buffer);
+        assert_eq!(recover(&wal.durable_log()).len(), 64);
     }
 
     #[test]
