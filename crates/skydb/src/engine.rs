@@ -20,22 +20,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 
 use skysim::disk::{Access, DiskFarm, StorageRole};
 use skysim::time::TimeScale;
 
-use crate::btree::{order_for_key_width, BPlusTree, Payload};
+use crate::btree::{order_for_key_width, BPlusTree, DuplicateKey, Payload};
 use crate::cache::BufferPool;
 use crate::config::DbConfig;
 use crate::error::{ConstraintKind, DbError, DbResult};
 use crate::expr::Expr;
-use crate::heap::{RowId, TableHeap};
+use crate::heap::{frame_row, RowId, TableHeap, ROW_CRC_BYTES};
 use crate::schema::{Catalog, TableId, TableSchema};
 use crate::stats::EngineStats;
 use crate::txn::{LockManager, TxnManager, UndoOp};
 use crate::value::{decode_row, encode_row, Key, Row, Value};
-use crate::wal::{recover_checked, LogRecord, TxnId, Wal};
+use crate::wal::{recover_checked, LogRecord, StagedInserts, TxnId, Wal};
 use skysim::rng::SplitMix64;
 
 /// A named secondary index on a table.
@@ -69,6 +69,101 @@ impl TableState {
     fn schema(&self) -> Arc<TableSchema> {
         self.schema.read().clone()
     }
+
+    /// Every write lock of the table, taken in the engine's lock order:
+    /// heap → primary key → UNIQUE trees → secondaries.
+    fn lock_for_write(&self) -> TableWriteGuards<'_> {
+        TableWriteGuards {
+            heap: self.heap.lock(),
+            pk: self.pk.write(),
+            uniques: self.uniques.iter().map(|u| u.write()).collect(),
+            secs: self.secondaries.write(),
+        }
+    }
+}
+
+/// A table's heap and index trees, write-locked for one write segment.
+struct TableWriteGuards<'a> {
+    heap: MutexGuard<'a, TableHeap>,
+    pk: RwLockWriteGuard<'a, BPlusTree>,
+    uniques: Vec<RwLockWriteGuard<'a, BPlusTree>>,
+    secs: RwLockWriteGuard<'a, Vec<SecondaryIndex>>,
+}
+
+/// A key that collided with an existing entry of a unique tree.
+struct Collision {
+    /// The entry already holding the key.
+    incumbent: Payload,
+    key: Key,
+    kind: ConstraintKind,
+    /// The constraint or index name.
+    name: String,
+}
+
+impl TableWriteGuards<'_> {
+    /// Enter one row's primary-key, UNIQUE and secondary keys, returning
+    /// the number of entries made. On a collision the entries already made
+    /// are removed again.
+    fn insert_keys(
+        &mut self,
+        schema: &TableSchema,
+        row: &[Value],
+        payload: Payload,
+    ) -> Result<u64, Collision> {
+        let collision = |dup: DuplicateKey, cols: &[usize], kind, name: &str| Collision {
+            incumbent: dup.0,
+            key: Key::project(row, cols),
+            kind,
+            name: name.to_owned(),
+        };
+        let pk_cols = &schema.primary_key;
+        if let Err(dup) = self.pk.insert(Key::project(row, pk_cols), payload) {
+            let name = format!("pk_{}", schema.name);
+            return Err(collision(dup, pk_cols, ConstraintKind::PrimaryKey, &name));
+        }
+        let mut failed = None;
+        let mut uniques_in = self.uniques.len();
+        for (i, (u, udef)) in self.uniques.iter_mut().zip(&schema.uniques).enumerate() {
+            if let Err(dup) = u.insert(Key::project(row, &udef.columns), payload) {
+                failed = Some(collision(
+                    dup,
+                    &udef.columns,
+                    ConstraintKind::Unique,
+                    &udef.name,
+                ));
+                uniques_in = i;
+                break;
+            }
+        }
+        // Attribute indexes are non-unique in the repository; unique
+        // secondaries reject like uniques.
+        let mut secs_in = 0;
+        if failed.is_none() {
+            for s in self.secs.iter_mut() {
+                if let Err(dup) = s.tree.insert(Key::project(row, &s.columns), payload) {
+                    failed = Some(collision(dup, &s.columns, ConstraintKind::Unique, &s.name));
+                    break;
+                }
+                secs_in += 1;
+            }
+        }
+        let Some(c) = failed else {
+            return Ok((1 + self.uniques.len() + self.secs.len()) as u64);
+        };
+        for s in self.secs.iter_mut().take(secs_in) {
+            s.tree.remove(&Key::project(row, &s.columns), payload);
+        }
+        for (u, udef) in self
+            .uniques
+            .iter_mut()
+            .zip(&schema.uniques)
+            .take(uniques_in)
+        {
+            u.remove(&Key::project(row, &udef.columns), payload);
+        }
+        self.pk.remove(&Key::project(row, pk_cols), payload);
+        Err(c)
+    }
 }
 
 /// Result of applying a batch of rows.
@@ -85,6 +180,22 @@ impl BatchOutcome {
     pub fn is_complete(&self) -> bool {
         self.failed.is_none()
     }
+}
+
+/// What one write segment of [`Engine::insert_batch`] did.
+#[derive(Debug, Default)]
+struct Segment {
+    /// Rows appended and indexed.
+    rows: usize,
+    /// Index entries made for them.
+    entries: u64,
+    /// Distinct heap pages written, in row order (a row that failed its
+    /// key checks after the append included).
+    pages: Vec<u32>,
+    /// The row that stopped the segment, if one failed.
+    failed: Option<DbError>,
+    /// The segment's last row opened the page that is due a writer cycle.
+    writer_cycle: bool,
 }
 
 /// Result of a read-committed query: the visible rows plus how many heap
@@ -492,12 +603,7 @@ impl Engine {
     /// bypasses constraint checks and the WAL — the row was valid before).
     fn reinsert_unlogged(&self, table: TableId, row: &[Value]) {
         let ts = self.state(table);
-        let mut encoded = bytes::BytesMut::with_capacity(64);
-        encode_row(row, &mut encoded);
-        let rid = {
-            let mut heap = ts.heap.lock();
-            heap.insert(encoded.to_vec().into_boxed_slice()).row_id
-        };
+        let rid = ts.heap.lock().insert_framed(frame_row(row)).row_id;
         self.cache
             .note_write((table, rid.page()), self.farm.device(StorageRole::Data));
         let payload = rid.packed();
@@ -663,36 +769,86 @@ impl Engine {
     /// zombie has staged but will never commit). Instead return a
     /// retryable [`DbError::WriteConflict`] — the analogue of a row-lock
     /// wait in a disk RDBMS. Collisions with committed rows (or with the
-    /// inserting transaction itself) return `None` and keep their
-    /// constraint-violation semantics.
-    fn staged_collision(
+    /// inserting transaction itself) keep their constraint-violation
+    /// semantics.
+    ///
+    /// Called while the table's write locks are held: removing the
+    /// incumbent (a rollback) needs them too, so the owner lookup is
+    /// atomic with the collision itself.
+    fn classify_collision(
         &self,
         table: TableId,
         txn: TxnId,
-        incumbent: Payload,
-        key: &Key,
-    ) -> Option<DbError> {
-        let owner = self.txns.insert_owner(table, incumbent)?;
-        if owner == txn {
-            return None;
+        schema: &TableSchema,
+        c: Collision,
+    ) -> DbError {
+        match self.txns.insert_owner(table, c.incumbent) {
+            Some(owner) if owner != txn => DbError::WriteConflict(format!(
+                "key {} is staged by in-flight transaction {}; retry once it resolves",
+                c.key, owner.0
+            )),
+            _ => DbError::constraint(
+                c.kind,
+                c.name,
+                &schema.name,
+                format!("duplicate key {}", c.key),
+            ),
         }
-        self.stats.write_conflicts.inc();
-        Some(DbError::WriteConflict(format!(
-            "key {key} is staged by in-flight transaction {}; retry once it resolves",
-            owner.0
-        )))
     }
 
-    /// Validate and insert one row under `txn`. On success returns the
-    /// heap location; on failure nothing is left behind.
-    pub fn insert_row(&self, txn: TxnId, table: TableId, row: &[Value]) -> DbResult<RowId> {
-        let ts = self.state(table);
-        let schema = ts.schema();
+    /// Count a rejected row under the counter of its error kind.
+    fn count_rejection(&self, e: &DbError) {
+        let stats = &self.stats;
+        let counter = match e {
+            // A conflict is not a bad row: the loader retries it.
+            DbError::WriteConflict(_) => {
+                stats.write_conflicts.inc();
+                return;
+            }
+            DbError::ArityMismatch { .. } | DbError::TypeMismatch { .. } => &stats.type_errors,
+            _ => match e.constraint_kind() {
+                Some(ConstraintKind::NotNull) => &stats.not_null_violations,
+                Some(ConstraintKind::Check) => &stats.check_violations,
+                Some(ConstraintKind::ForeignKey) => &stats.fk_violations,
+                Some(ConstraintKind::PrimaryKey) => &stats.pk_violations,
+                Some(ConstraintKind::Unique) => &stats.unique_violations,
+                None => return,
+            },
+        };
+        counter.inc();
+        stats.rows_rejected.inc();
+    }
 
+    /// The parent table of each of `schema`'s foreign keys, in declaration
+    /// order, resolved under one catalog read.
+    fn fk_parents(&self, schema: &TableSchema) -> Vec<Arc<TableState>> {
+        if schema.foreign_keys.is_empty() {
+            return Vec::new();
+        }
+        let catalog = self.catalog.read();
+        let tables = self.tables.read();
+        schema
+            .foreign_keys
+            .iter()
+            .map(|fk| {
+                let id = catalog
+                    .table_id(&fk.parent_table)
+                    .expect("catalog validated FK targets");
+                tables[id.index()].clone()
+            })
+            .collect()
+    }
+
+    /// The checks that need no lock of the table itself: arity, types,
+    /// NOT NULL, CHECK constraints, and each foreign key's parent probe.
+    fn check_row(
+        &self,
+        schema: &TableSchema,
+        parents: &[Arc<TableState>],
+        row: &[Value],
+    ) -> DbResult<()> {
         // 1. Arity.
         if row.len() != schema.columns.len() {
-            self.stats.type_errors.inc();
-            self.stats.rows_rejected.inc();
             return Err(DbError::ArityMismatch {
                 table: schema.name.clone(),
                 expected: schema.columns.len(),
@@ -703,8 +859,6 @@ impl Engine {
         for (i, (v, c)) in row.iter().zip(schema.columns.iter()).enumerate() {
             if v.is_null() {
                 if !c.nullable || schema.primary_key.contains(&i) {
-                    self.stats.not_null_violations.inc();
-                    self.stats.rows_rejected.inc();
                     return Err(DbError::constraint(
                         ConstraintKind::NotNull,
                         format!("nn_{}_{}", schema.name, c.name),
@@ -715,8 +869,6 @@ impl Engine {
                 continue;
             }
             if let Err(detail) = v.matches_type(c.dtype) {
-                self.stats.type_errors.inc();
-                self.stats.rows_rejected.inc();
                 return Err(DbError::TypeMismatch {
                     table: schema.name.clone(),
                     column: c.name.clone(),
@@ -732,8 +884,6 @@ impl Engine {
                 .map(|t| t.passes_check())
                 .unwrap_or(false);
             if !passes {
-                self.stats.check_violations.inc();
-                self.stats.rows_rejected.inc();
                 return Err(DbError::constraint(
                     ConstraintKind::Check,
                     &chk.name,
@@ -743,21 +893,12 @@ impl Engine {
             }
         }
         // 4. Foreign keys.
-        for fk in &schema.foreign_keys {
+        for (fk, parent) in schema.foreign_keys.iter().zip(parents) {
             let key = Key::project(row, &fk.columns);
             if key.has_null() {
                 continue; // SQL: NULL FK components pass
             }
-            let parent_id = self
-                .catalog
-                .read()
-                .table_id(&fk.parent_table)
-                .expect("catalog validated FK targets");
-            let parent = self.state(parent_id);
-            let found = parent.pk.read().contains_key(&key);
-            if !found {
-                self.stats.fk_violations.inc();
-                self.stats.rows_rejected.inc();
+            if !parent.pk.read().contains_key(&key) {
                 return Err(DbError::constraint(
                     ConstraintKind::ForeignKey,
                     &fk.name,
@@ -766,141 +907,149 @@ impl Engine {
                 ));
             }
         }
+        Ok(())
+    }
 
-        // 5. Heap append.
-        let mut encoded = bytes::BytesMut::with_capacity(64);
-        encode_row(row, &mut encoded);
-        let encoded = encoded.to_vec().into_boxed_slice();
-        let heap_insert = {
-            let mut heap = ts.heap.lock();
-            heap.insert(encoded)
-        };
-        let rid = heap_insert.row_id;
-        let payload = rid.packed();
-        self.cache
-            .note_write((table, rid.page()), self.farm.device(StorageRole::Data));
-
-        // 6. Primary key.
-        let pk_key = Key::project(row, &schema.primary_key);
-        {
-            let mut pk = ts.pk.write();
-            if let Err(dup) = pk.insert(pk_key.clone(), payload) {
-                // Classify the collision while still holding the tree
-                // lock: removing the incumbent (a rollback) needs this
-                // lock too, so the owner lookup is atomic with the
-                // collision itself.
-                let conflict = self.staged_collision(table, txn, dup.0, &pk_key);
-                drop(pk);
-                ts.heap.lock().delete(rid);
-                if let Some(e) = conflict {
-                    return Err(e);
-                }
-                self.stats.pk_violations.inc();
-                self.stats.rows_rejected.inc();
-                return Err(DbError::constraint(
-                    ConstraintKind::PrimaryKey,
-                    format!("pk_{}", schema.name),
-                    &schema.name,
-                    format!("duplicate key {pk_key}"),
-                ));
-            }
+    /// Validate and insert one row under `txn` — the one-row case of
+    /// [`Engine::insert_batch`]. On failure nothing is left behind.
+    pub fn insert_row(&self, txn: TxnId, table: TableId, row: &[Value]) -> DbResult<()> {
+        match self.insert_batch(txn, table, &[row]).failed {
+            None => Ok(()),
+            Some((_, e)) => Err(e),
         }
-        let mut entries = 1u64;
+    }
 
-        // 7. Unique constraints.
-        for (i, (u, udef)) in ts.uniques.iter().zip(schema.uniques.iter()).enumerate() {
-            let ukey = Key::project(row, &udef.columns);
-            let mut tree = u.write();
-            if let Err(dup) = tree.insert(ukey.clone(), payload) {
-                // Classified under the tree lock; see the primary key.
-                let conflict = self.staged_collision(table, txn, dup.0, &ukey);
-                drop(tree);
-                // Undo what we did.
-                for (v, vdef) in ts.uniques.iter().zip(schema.uniques.iter()).take(i) {
-                    v.write().remove(&Key::project(row, &vdef.columns), payload);
-                }
-                ts.pk.write().remove(&pk_key, payload);
-                ts.heap.lock().delete(rid);
-                if let Some(e) = conflict {
-                    return Err(e);
-                }
-                self.stats.unique_violations.inc();
-                self.stats.rows_rejected.inc();
-                return Err(DbError::constraint(
-                    ConstraintKind::Unique,
-                    &udef.name,
-                    &schema.name,
-                    format!("duplicate key {ukey}"),
-                ));
+    /// Validate and insert `rows` under `txn`, in order, with JDBC
+    /// semantics: the first failing row stops the batch, the rows before
+    /// it stay applied, and the failing row leaves no heap slot, index
+    /// entry, undo entry or WAL record. This is the engine's only write
+    /// path; [`Engine::insert_row`] is its one-row case.
+    ///
+    /// Work is done once per batch where it can be: one schema snapshot,
+    /// one resolution of the foreign-key parents, one encode of each row
+    /// (straight into the CRC-framed allocation the heap keeps, whose
+    /// payload the WAL record copies), one publication of the counters.
+    /// The lock-free checks of every row (arity, types, NOT NULL, CHECK,
+    /// FK probes) run before any table lock is taken; a table is never its
+    /// own FK parent (the catalog defines parents first), so checking a row
+    /// before the rows ahead of it are written sees what row-at-a-time
+    /// inserts would. The rows are then written in *segments* — runs that
+    /// end at a row which triggers a database-writer cycle, so usually the
+    /// whole batch. A segment takes the heap lock and the PK, UNIQUE and
+    /// secondary tree write locks once, in the order `scrub_table` uses,
+    /// appends and indexes its rows in order, and records their undo
+    /// entries *before* releasing any of those locks: a reader that can
+    /// reach a row also sees it as uncommitted. The segment's WAL records
+    /// follow under one log lock, then one `note_write` per distinct page,
+    /// then the writer cycle — at the row at which row-at-a-time inserts
+    /// would run it.
+    pub fn insert_batch<R: AsRef<[Value]>>(
+        &self,
+        txn: TxnId,
+        table: TableId,
+        rows: &[R],
+    ) -> BatchOutcome {
+        let ts = self.state(table);
+        let schema = ts.schema();
+        let parents = self.fk_parents(&schema);
+
+        // Checks that need no table lock, and the one encode of each row.
+        let mut failed = None;
+        let mut framed = Vec::with_capacity(rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            if let Err(e) = self.check_row(&schema, &parents, row.as_ref()) {
+                failed = Some((i, e));
+                break;
             }
-            drop(tree);
-            entries += 1;
+            framed.push(frame_row(row.as_ref()));
+        }
+        let checked = framed.len();
+        let payload_bytes = framed.iter().map(|f| f.len() - ROW_CRC_BYTES).sum();
+        let mut staged = StagedInserts::with_capacity(checked, payload_bytes);
+        for f in &framed {
+            staged.push(txn, table, &f[ROW_CRC_BYTES..]);
         }
 
-        // 8. Secondary indexes (attribute indexes are non-unique in the
-        //    repository; unique secondaries reject like uniques).
-        {
-            let mut secs = ts.secondaries.write();
-            let mut failed: Option<(usize, String, Key, Payload)> = None;
-            for (i, s) in secs.iter_mut().enumerate() {
-                let skey = Key::project(row, &s.columns);
-                if let Err(dup) = s.tree.insert(skey.clone(), payload) {
-                    failed = Some((i, s.name.clone(), skey, dup.0));
-                    break;
-                }
-                entries += 1;
-            }
-            if let Some((upto, name, skey, incumbent)) = failed {
-                // Classified under the secondaries lock; see the primary key.
-                let conflict = self.staged_collision(table, txn, incumbent, &skey);
-                for s in secs.iter_mut().take(upto) {
-                    s.tree.remove(&Key::project(row, &s.columns), payload);
-                }
-                drop(secs);
-                for (v, vdef) in ts.uniques.iter().zip(schema.uniques.iter()) {
-                    v.write().remove(&Key::project(row, &vdef.columns), payload);
-                }
-                ts.pk.write().remove(&pk_key, payload);
-                ts.heap.lock().delete(rid);
-                if let Some(e) = conflict {
-                    return Err(e);
-                }
-                self.stats.unique_violations.inc();
-                self.stats.rows_rejected.inc();
-                return Err(DbError::constraint(
-                    ConstraintKind::Unique,
-                    &name,
-                    &schema.name,
-                    format!("duplicate key {skey}"),
-                ));
-            }
-        }
-        self.stats.index_entries.add(entries);
-
-        // 9. Redo log + undo list.
-        let mut logged = bytes::BytesMut::with_capacity(64);
-        encode_row(row, &mut logged);
-        self.wal.append(
-            &LogRecord::Insert {
+        let log_dev = self.farm.device(StorageRole::Log);
+        let data_dev = self.farm.device(StorageRole::Data);
+        let mut framed = framed.into_iter();
+        let mut applied = 0usize;
+        let mut entries = 0u64;
+        while applied < checked {
+            let seg = self.write_segment(
                 txn,
                 table,
-                row: logged.to_vec().into_boxed_slice(),
-            },
-            self.farm.device(StorageRole::Log),
-        );
-        self.txns
-            .push_undo(txn, UndoOp::Insert { table, row_id: rid });
-
-        // 10. Periodic database-writer cycle.
-        if heap_insert.new_page {
-            let prev = self.dirty_events.fetch_add(1, Ordering::Relaxed) + 1;
-            if prev.is_multiple_of(self.cfg.writer_interval_pages) {
+                &ts,
+                &schema,
+                &rows[applied..checked],
+                &mut framed,
+            );
+            let start = applied;
+            applied += seg.rows;
+            entries += seg.entries;
+            self.wal.append_staged(&staged, start..applied, log_dev);
+            for &page in &seg.pages {
+                self.cache.note_write((table, page), data_dev);
+            }
+            if let Some(e) = seg.failed {
+                failed = Some((applied, e));
+                break;
+            }
+            if seg.writer_cycle {
                 self.writer_cycle();
             }
         }
 
-        self.stats.rows_inserted.inc();
-        Ok(rid)
+        if let Some((_, e)) = &failed {
+            self.count_rejection(e);
+        }
+        self.stats.rows_inserted.add(applied as u64);
+        self.stats.index_entries.add(entries);
+        BatchOutcome { applied, failed }
+    }
+
+    /// Append and index `rows` (already checked, and framed in `framed`)
+    /// under one hold of the table's write locks, stopping after a row
+    /// that triggers a writer cycle or at a row whose key collides.
+    fn write_segment<R: AsRef<[Value]>>(
+        &self,
+        txn: TxnId,
+        table: TableId,
+        ts: &TableState,
+        schema: &TableSchema,
+        rows: &[R],
+        framed: &mut std::vec::IntoIter<Box<[u8]>>,
+    ) -> Segment {
+        let mut locked = ts.lock_for_write();
+        let mut seg = Segment::default();
+        let mut rids = Vec::with_capacity(rows.len());
+        for (row, stored) in rows.iter().zip(framed) {
+            let ins = locked.heap.insert_framed(stored);
+            let rid = ins.row_id;
+            if seg.pages.last() != Some(&rid.page()) {
+                seg.pages.push(rid.page());
+            }
+            match locked.insert_keys(schema, row.as_ref(), rid.packed()) {
+                Ok(entries) => seg.entries += entries,
+                Err(c) => {
+                    locked.heap.withdraw_last(rid);
+                    seg.failed = Some(self.classify_collision(table, txn, schema, c));
+                    break;
+                }
+            }
+            rids.push(rid);
+            if ins.new_page {
+                let events = self.dirty_events.fetch_add(1, Ordering::Relaxed) + 1;
+                if events.is_multiple_of(self.cfg.writer_interval_pages) {
+                    seg.writer_cycle = true;
+                    break;
+                }
+            }
+        }
+        seg.rows = rids.len();
+        // Before any lock is released: see `insert_batch`.
+        self.txns.push_insert_undo(txn, table, &rids);
+        seg
     }
 
     /// Apply a batch of rows with JDBC semantics, holding one table insert
@@ -909,32 +1058,18 @@ impl Engine {
         self.stats.batch_calls.inc();
         let locks = self.locks.read();
         let _slot = locks.acquire_insert_slot(table);
-        let mut applied = 0usize;
-        let mut outcome = BatchOutcome {
-            applied: 0,
-            failed: None,
-        };
-        for (i, row) in rows.iter().enumerate() {
-            match self.insert_row(txn, table, row) {
-                Ok(_) => applied += 1,
-                Err(e) => {
-                    outcome.failed = Some((i, e));
-                    break;
-                }
-            }
-        }
-        outcome.applied = applied;
+        let outcome = self.insert_batch(txn, table, rows);
         // The SQL layer worked on every attempted row (the failing row is
         // detected only after its execution); that service time is paid
         // while the insert slot is held, which is what makes high
         // parallelism contend on hot tables (§4.4).
-        let attempted = applied + usize::from(outcome.failed.is_some());
+        let attempted = outcome.applied + usize::from(outcome.failed.is_some());
         self.charge_row_service(table, attempted);
         outcome
     }
 
     /// Apply a single insert (the non-bulk baseline path).
-    pub fn apply_single(&self, txn: TxnId, table: TableId, row: &[Value]) -> DbResult<RowId> {
+    pub fn apply_single(&self, txn: TxnId, table: TableId, row: &[Value]) -> DbResult<()> {
         self.stats.single_calls.inc();
         let locks = self.locks.read();
         let _slot = locks.acquire_insert_slot(table);
@@ -1108,9 +1243,12 @@ impl Engine {
         table: TableId,
         filter: Option<&Expr>,
     ) -> DbResult<QueryOutcome> {
-        let hidden = self.txns.uncommitted_inserts(table);
         let ts = self.state(table);
         let heap = ts.heap.lock();
+        // The hidden set is taken under the heap lock: a writer records a
+        // row's undo entry before it releases that lock, so every row this
+        // pass can see is either committed or in the set.
+        let hidden = self.txns.uncommitted_inserts(table);
         let data_dev = self.farm.device(StorageRole::Data);
         let mut rows = Vec::new();
         let mut examined = 0u64;
@@ -1268,12 +1406,13 @@ impl Engine {
     ) -> DbResult<(crate::scrub::TableScrub, Vec<crate::scrub::QuarantinedRow>)> {
         let tid = self.table_id(table)?;
         let ts = self.state(tid);
-        let hidden = self.txns.uncommitted_inserts(tid);
         let mut quarantined = Vec::new();
         let mut rows = 0u64;
         let pages;
         {
             let mut heap = ts.heap.lock();
+            // Under the heap lock, as in `scan_where_committed`.
+            let hidden = self.txns.uncommitted_inserts(tid);
             pages = heap.page_count() as u64;
             let mut bad = Vec::new();
             for (rid, check) in heap.scan_checked() {
@@ -1340,8 +1479,8 @@ impl Engine {
     pub fn rot_heap_row(&self, table: &str, salt: u64) -> Option<RowId> {
         let tid = self.table_id(table).ok()?;
         let ts = self.state(tid);
-        let hidden = self.txns.uncommitted_inserts(tid);
         let mut heap = ts.heap.lock();
+        let hidden = self.txns.uncommitted_inserts(tid);
         let live: Vec<RowId> = heap
             .scan()
             .map(|(rid, _)| rid)

@@ -19,6 +19,7 @@
 
 use crate::crc::crc32;
 use crate::schema::TableId;
+use crate::value::{encode_row, row_encoded_len, Value};
 
 /// Usable payload bytes per heap page (8 KiB, the classic Oracle block).
 pub const PAGE_BYTES: usize = 8192;
@@ -104,6 +105,19 @@ pub struct HeapInsert {
     pub new_page: bool,
 }
 
+/// Encode `row` straight into an exactly sized `[4-byte LE CRC-32][encoded
+/// row]` allocation — the stored form [`TableHeap::insert_framed`] takes.
+/// The payload (`[ROW_CRC_BYTES..]`) is the wire and WAL encoding.
+pub fn frame_row(row: &[Value]) -> Box<[u8]> {
+    let mut stored = Vec::with_capacity(ROW_CRC_BYTES + row_encoded_len(row));
+    stored.extend_from_slice(&[0; ROW_CRC_BYTES]);
+    encode_row(row, &mut stored);
+    let crc = crc32(&stored[ROW_CRC_BYTES..]);
+    stored[..ROW_CRC_BYTES].copy_from_slice(&crc.to_le_bytes());
+    debug_assert_eq!(stored.len(), stored.capacity(), "sized exactly");
+    stored.into_boxed_slice()
+}
+
 impl TableHeap {
     /// An empty heap for `table`.
     pub fn new(table: TableId) -> Self {
@@ -122,18 +136,26 @@ impl TableHeap {
     /// Append an encoded row, framing it with a CRC-32 prefix.
     ///
     /// # Panics
+    /// As [`TableHeap::insert_framed`].
+    pub fn insert(&mut self, encoded: &[u8]) -> HeapInsert {
+        let mut stored = Vec::with_capacity(ROW_CRC_BYTES + encoded.len());
+        stored.extend_from_slice(&crc32(encoded).to_le_bytes());
+        stored.extend_from_slice(encoded);
+        self.insert_framed(stored.into_boxed_slice())
+    }
+
+    /// Append a row already framed as `[4-byte LE CRC-32][encoded row]`
+    /// (see [`frame_row`]), storing the allocation as it is.
+    ///
+    /// # Panics
     /// Panics if a single framed row exceeds [`PAGE_BYTES`] — the catalog
     /// schema guarantees rows are far smaller.
-    pub fn insert(&mut self, encoded: Box<[u8]>) -> HeapInsert {
+    pub fn insert_framed(&mut self, stored: Box<[u8]>) -> HeapInsert {
         assert!(
-            encoded.len() + ROW_CRC_BYTES <= PAGE_BYTES,
+            stored.len() <= PAGE_BYTES,
             "row of {} bytes exceeds page capacity",
-            encoded.len()
+            stored.len() - ROW_CRC_BYTES
         );
-        let mut stored = Vec::with_capacity(ROW_CRC_BYTES + encoded.len());
-        stored.extend_from_slice(&crc32(&encoded).to_le_bytes());
-        stored.extend_from_slice(&encoded);
-        let stored = stored.into_boxed_slice();
         let new_page = match self.pages.last() {
             Some(p) if p.fits(stored.len()) && p.rows.len() < u16::MAX as usize => false,
             _ => {
@@ -158,6 +180,25 @@ impl TableHeap {
             row_id: RowId::new(page_no, slot),
             new_page,
         }
+    }
+
+    /// Take back the row just appended at `rid`, leaving no slot behind:
+    /// the insert path calls this when a key check fails after the append,
+    /// before anything else can have seen the row. A page the row opened
+    /// stays allocated, so the next row lands on it.
+    ///
+    /// # Panics
+    /// Panics if `rid` is not the heap's last slot.
+    pub fn withdraw_last(&mut self, rid: RowId) {
+        let page_no = self.pages.len().wrapping_sub(1);
+        let page = self.pages.last_mut().expect("a row was just appended");
+        assert!(
+            rid.page() as usize == page_no && rid.slot() as usize + 1 == page.rows.len(),
+            "{rid:?} is not the last appended row"
+        );
+        let row = page.rows.pop().flatten().expect("the last slot is live");
+        page.bytes -= row.len();
+        self.live_rows -= 1;
     }
 
     /// The raw stored slot (CRC prefix + payload), if live.
@@ -281,8 +322,8 @@ impl TableHeap {
 mod tests {
     use super::*;
 
-    fn row(n: usize) -> Box<[u8]> {
-        vec![0xAB; n].into_boxed_slice()
+    fn row(n: usize) -> Vec<u8> {
+        vec![0xAB; n]
     }
 
     #[test]
@@ -296,11 +337,11 @@ mod tests {
     #[test]
     fn insert_fills_then_allocates() {
         let mut h = TableHeap::new(TableId(0));
-        let first = h.insert(row(4000));
+        let first = h.insert(&row(4000));
         assert!(first.new_page);
-        let second = h.insert(row(4000));
+        let second = h.insert(&row(4000));
         assert!(!second.new_page, "4000+4000 <= 8192 fits one page");
-        let third = h.insert(row(4000));
+        let third = h.insert(&row(4000));
         assert!(third.new_page, "8000+4000 overflows");
         assert_eq!(h.page_count(), 2);
         assert_eq!(h.row_count(), 3);
@@ -312,7 +353,7 @@ mod tests {
     fn a_new_page_reserves_the_slots_of_the_one_before() {
         let mut h = TableHeap::new(TableId(0));
         while h.page_count() < 3 {
-            h.insert(row(60));
+            h.insert(&row(60));
         }
         let before = h.pages[1].rows.len();
         assert!(before > 100, "a page holds many small rows");
@@ -320,10 +361,54 @@ mod tests {
     }
 
     #[test]
+    fn a_framed_row_is_stored_as_it_is() {
+        let row = vec![Value::Int(7), Value::Text("ab".into()), Value::Null];
+        let framed = frame_row(&row);
+        assert_eq!(framed.len(), ROW_CRC_BYTES + row_encoded_len(&row));
+        let mut h = TableHeap::new(TableId(0));
+        let rid = h.insert_framed(framed).row_id;
+        let mut payload = h.get_checked(rid).unwrap().unwrap();
+        assert_eq!(crate::value::decode_row(&mut payload).unwrap(), row);
+        let mut direct = TableHeap::new(TableId(0));
+        let mut encoded = Vec::new();
+        encode_row(&row, &mut encoded);
+        let same = direct.insert(&encoded).row_id;
+        assert_eq!(direct.stored(same), h.stored(rid), "same framing as insert");
+    }
+
+    #[test]
+    fn withdraw_last_leaves_no_slot_and_keeps_the_page() {
+        let mut h = TableHeap::new(TableId(0));
+        let a = h.insert(&row(5000)).row_id;
+        let opened = h.insert(&row(5000));
+        assert!(opened.new_page);
+        h.withdraw_last(opened.row_id);
+        assert_eq!(h.row_count(), 1);
+        assert_eq!(h.page_count(), 2, "the page the row opened stays");
+        assert_eq!(h.bytes_used(), 5000 + ROW_CRC_BYTES);
+        let next = h.insert(&row(10));
+        assert!(!next.new_page, "the next row lands on the kept page");
+        assert_eq!(next.row_id, opened.row_id, "the slot was given back");
+        assert_eq!(
+            h.scan().map(|(r, _)| r).collect::<Vec<_>>(),
+            vec![a, next.row_id]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "is not the last appended row")]
+    fn withdraw_last_refuses_an_older_row() {
+        let mut h = TableHeap::new(TableId(0));
+        let a = h.insert(&row(5)).row_id;
+        h.insert(&row(5));
+        h.withdraw_last(a);
+    }
+
+    #[test]
     fn get_and_delete() {
         let mut h = TableHeap::new(TableId(0));
-        let a = h.insert(row(10)).row_id;
-        let b = h.insert(row(20)).row_id;
+        let a = h.insert(&row(10)).row_id;
+        let b = h.insert(&row(20)).row_id;
         assert_eq!(h.get(a).unwrap().len(), 10);
         assert!(h.delete(a));
         assert!(!h.delete(a), "double delete");
@@ -336,7 +421,7 @@ mod tests {
     #[test]
     fn scan_skips_tombstones_in_order() {
         let mut h = TableHeap::new(TableId(0));
-        let ids: Vec<RowId> = (0..10).map(|i| h.insert(row(i + 1)).row_id).collect();
+        let ids: Vec<RowId> = (0..10).map(|i| h.insert(&row(i + 1)).row_id).collect();
         h.delete(ids[3]);
         h.delete(ids[7]);
         let seen: Vec<usize> = h.scan().map(|(_, r)| r.len()).collect();
@@ -346,8 +431,8 @@ mod tests {
     #[test]
     fn bytes_used_tracks_deletes() {
         let mut h = TableHeap::new(TableId(0));
-        let a = h.insert(row(100)).row_id;
-        h.insert(row(50));
+        let a = h.insert(&row(100)).row_id;
+        h.insert(&row(50));
         // Stored size includes the 4-byte CRC frame per row.
         assert_eq!(h.bytes_used(), 150 + 2 * ROW_CRC_BYTES);
         h.delete(a);
@@ -357,7 +442,7 @@ mod tests {
     #[test]
     fn checked_reads_catch_every_payload_bit_flip() {
         let mut h = TableHeap::new(TableId(0));
-        let rid = h.insert((*b"integrity").to_vec().into_boxed_slice()).row_id;
+        let rid = h.insert(b"integrity").row_id;
         assert_eq!(h.get_checked(rid), Some(Ok(&b"integrity"[..])));
         for byte in 0..9 {
             for bit in 0..8 {
@@ -386,7 +471,7 @@ mod tests {
     #[test]
     fn corrupt_row_rejects_missing_and_tombstoned() {
         let mut h = TableHeap::new(TableId(0));
-        let rid = h.insert(row(8)).row_id;
+        let rid = h.insert(&row(8)).row_id;
         assert!(!h.corrupt_row(RowId::new(5, 0), 0, 0));
         h.delete(rid);
         assert!(!h.corrupt_row(rid, 0, 0));
@@ -396,6 +481,6 @@ mod tests {
     #[should_panic(expected = "exceeds page capacity")]
     fn oversized_row_panics() {
         let mut h = TableHeap::new(TableId(0));
-        h.insert(row(PAGE_BYTES + 1));
+        h.insert(&row(PAGE_BYTES + 1));
     }
 }

@@ -34,7 +34,10 @@ use crate::fault::{CallClass, FaultDecision, FaultKind, FaultPlan, FAULT_KINDS};
 use crate::schema::TableId;
 use crate::value::{Key, Row};
 use crate::wal::TxnId;
-use crate::wire::{decode_error_kind, encode_error_kind, Fence, Request, Response};
+use crate::wire::{
+    decode_error_kind, encode_error_kind, encode_insert_batch, insert_batch_len, Fence, Request,
+    Response,
+};
 
 /// A database server: engine + CPU gate + network endpoint.
 pub struct Server {
@@ -624,7 +627,6 @@ impl Session {
     }
 
     fn call(&self, request: &Request) -> DbResult<Response> {
-        let txn = self.ensure_txn()?;
         let class = match request {
             Request::InsertBatch { .. } => CallClass::Batch,
             Request::InsertSingle { .. } => CallClass::Single,
@@ -639,12 +641,18 @@ impl Session {
         };
         // Client-side marshaling: real serialization work.
         let mut buf = BytesMut::with_capacity(256);
-        let req_len = request.encode(&mut buf);
+        request.encode(&mut buf);
+        self.call_encoded(class, &buf)
+    }
+
+    /// Send an encoded request and decode the response.
+    fn call_encoded(&self, class: CallClass, request: &[u8]) -> DbResult<Response> {
+        let txn = self.ensure_txn()?;
         // One round trip carries the request and the (small) response.
-        self.server.net.round_trip(req_len + 16);
+        self.server.net.round_trip(request.len() + 16);
         self.server
             .fault_gate(class, txn, *self.call_timeout.lock())?;
-        let resp_bytes = self.server.dispatch(txn, &buf)?;
+        let resp_bytes = self.server.dispatch(txn, request)?;
         let mut rd = resp_bytes.as_slice();
         Response::decode(&mut rd)
     }
@@ -743,11 +751,12 @@ impl Session {
         for row in rows {
             self.check_arity(stmt, row)?;
         }
-        match self.call(&Request::InsertBatch {
-            table: stmt.table,
-            rows: rows.to_vec(),
-            fence: self.fence(),
-        })? {
+        // Encoded straight from the borrowed rows into a buffer of the
+        // request's exact size: no owned copy of the batch.
+        let fence = self.fence();
+        let mut buf = BytesMut::with_capacity(insert_batch_len(rows, &fence));
+        encode_insert_batch(&mut buf, stmt.table, rows, &fence);
+        match self.call_encoded(CallClass::Batch, &buf)? {
             Response::Ok { rows } => Ok(BatchResult {
                 applied: rows as usize,
                 failed: None,

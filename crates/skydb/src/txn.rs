@@ -105,6 +105,17 @@ impl TxnManager {
         }
     }
 
+    /// Record, in order and under one lock, the undo entries of rows
+    /// `txn` inserted into `table`. The insert path calls this while it
+    /// still holds the table's heap and index locks, so a reader that can
+    /// reach a row also finds it among [`TxnManager::uncommitted_inserts`].
+    pub fn push_insert_undo(&self, txn: TxnId, table: TableId, rows: &[RowId]) {
+        let mut st = self.state.lock();
+        if let Some(list) = st.active.get_mut(&txn) {
+            list.extend(rows.iter().map(|&row_id| UndoOp::Insert { table, row_id }));
+        }
+    }
+
     /// Drain `txn`'s undo log while leaving the transaction registered as
     /// active. Rollback uses this so the rows being reversed stay invisible
     /// to committed-read queries (whose hidden set is derived from *active*

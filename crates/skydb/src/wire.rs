@@ -11,7 +11,7 @@ use bytes::{Buf, BufMut, BytesMut};
 use crate::error::{ConstraintKind, DbError, DbResult};
 use crate::expr::{ArithOp, CmpOp, Expr};
 use crate::schema::TableId;
-use crate::value::{decode_row, encode_row, Row, Value};
+use crate::value::{decode_row, encode_row, row_encoded_len, Row, Value};
 
 /// A fencing token carried by mutating requests. `key` names a unit of
 /// fenced work (the fleet layer uses one key per catalog file) and `epoch`
@@ -215,6 +215,40 @@ fn put_fence(buf: &mut BytesMut, fence: &Option<Fence>) {
         }
         None => buf.put_u8(0),
     }
+}
+
+/// Bytes [`put_fence`] writes for `fence`.
+fn fence_len(fence: &Option<Fence>) -> usize {
+    if fence.is_some() {
+        17
+    } else {
+        1
+    }
+}
+
+/// Encode the `InsertBatch` request for `rows` straight from the borrowed
+/// slice: the bytes `Request::InsertBatch { .. }.encode` writes, without
+/// an owned copy of the rows. Returns the encoded length.
+pub fn encode_insert_batch(
+    buf: &mut BytesMut,
+    table: TableId,
+    rows: &[Row],
+    fence: &Option<Fence>,
+) -> usize {
+    let start = buf.len();
+    buf.put_u8(OP_INSERT_BATCH);
+    put_fence(buf, fence);
+    buf.put_u32_le(table.0);
+    buf.put_u32_le(rows.len() as u32);
+    for r in rows {
+        encode_row(r, buf);
+    }
+    buf.len() - start
+}
+
+/// Exact length [`encode_insert_batch`] writes, to size its buffer.
+pub fn insert_batch_len(rows: &[Row], fence: &Option<Fence>) -> usize {
+    1 + fence_len(fence) + 4 + 4 + rows.iter().map(|r| row_encoded_len(r)).sum::<usize>()
 }
 
 /// Decode an optional fence written by [`put_fence`].
@@ -456,13 +490,7 @@ impl Request {
                 encode_row(row, buf);
             }
             Request::InsertBatch { table, rows, fence } => {
-                buf.put_u8(OP_INSERT_BATCH);
-                put_fence(buf, fence);
-                buf.put_u32_le(table.0);
-                buf.put_u32_le(rows.len() as u32);
-                for r in rows {
-                    encode_row(r, buf);
-                }
+                encode_insert_batch(buf, *table, rows, fence);
             }
             Request::Commit { fence } => {
                 buf.put_u8(OP_COMMIT);

@@ -29,7 +29,7 @@ proptest! {
         for o in ops {
             match o {
                 Op::Insert(bytes) => {
-                    let ins = heap.insert(bytes.clone().into_boxed_slice());
+                    let ins = heap.insert(&bytes);
                     model.push((ins.row_id, bytes));
                 }
                 Op::DeleteNth(n) => {
@@ -62,7 +62,7 @@ proptest! {
         let mut heap = TableHeap::new(TableId(7));
         let mut seen = std::collections::HashSet::new();
         for s in sizes {
-            let ins = heap.insert(vec![0xCD; s].into_boxed_slice());
+            let ins = heap.insert(&vec![0xCD; s]);
             prop_assert!(seen.insert(ins.row_id.packed()), "duplicate row id");
         }
         // Page count is consistent with capacity: no page holds more than

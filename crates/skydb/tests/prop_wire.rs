@@ -9,9 +9,12 @@ use proptest::prelude::*;
 use bytes::BytesMut;
 use skydb::error::DbError;
 use skydb::schema::TableId;
-use skydb::value::{Row, Value};
+use skydb::value::{encode_row, Row, Value};
 use skydb::wal::decode_log;
-use skydb::wire::{decode_error_kind, encode_error_kind, Fence, Request, Response};
+use skydb::wire::{
+    decode_error_kind, encode_error_kind, encode_insert_batch, insert_batch_len, Fence, Request,
+    Response,
+};
 
 fn small_row() -> impl Strategy<Value = Row> {
     prop::collection::vec(
@@ -108,6 +111,44 @@ proptest! {
         let mut buf1 = BytesMut::new();
         req.encode(&mut buf1);
         prop_assert_eq!(buf1, buf2);
+    }
+
+    /// A batch encoded straight from borrowed rows (the client's path) is
+    /// byte-identical to the owned `Request::InsertBatch` encoding — the
+    /// server charges per-call service by request length — decodes to the
+    /// same rows, and fills a buffer sized by `insert_batch_len` exactly.
+    #[test]
+    fn borrowed_batch_encoding_matches_the_request(table in any::<u32>(),
+                                                   rows in prop::collection::vec(small_row(), 0..40),
+                                                   f in fence()) {
+        let mut owned = BytesMut::new();
+        let owned_len = Request::InsertBatch {
+            table: TableId(table),
+            rows: rows.clone(),
+            fence: f,
+        }
+        .encode(&mut owned);
+        let len = insert_batch_len(&rows, &f);
+        let mut borrowed = BytesMut::with_capacity(len);
+        let n = encode_insert_batch(&mut borrowed, TableId(table), &rows, &f);
+        prop_assert_eq!(n, len);
+        prop_assert_eq!(owned_len, len);
+        prop_assert_eq!(&borrowed[..], &owned[..]);
+        let mut rd = borrowed.freeze();
+        match Request::decode(&mut rd).unwrap() {
+            Request::InsertBatch { table: t, rows: back, fence } => {
+                prop_assert_eq!(t, TableId(table));
+                prop_assert_eq!(fence, f);
+                prop_assert_eq!(back.len(), rows.len());
+                for (a, b) in back.iter().zip(&rows) {
+                    let (mut x, mut y) = (BytesMut::new(), BytesMut::new());
+                    encode_row(a, &mut x);
+                    encode_row(b, &mut y);
+                    prop_assert_eq!(x, y);
+                }
+            }
+            other => prop_assert!(false, "decoded {:?}", other),
+        }
     }
 
     /// Every strict prefix of a valid request frame is rejected with a
