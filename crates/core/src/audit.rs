@@ -211,15 +211,4 @@ mod tests {
         let report = audit_repository(server.engine()).unwrap();
         assert!(report.is_clean(), "{:?}", report.findings);
     }
-
-    #[test]
-    fn audit_survives_deletes_and_reloads() {
-        let server = loaded_server(0.0);
-        crate::reprocess::delete_observation(server.engine(), 100).unwrap();
-        let v2 = generate_file(&GenConfig::small(903, 100), 0);
-        let session = server.connect();
-        load_catalog_file(&session, &LoaderConfig::test(), &v2).unwrap();
-        let report = audit_repository(server.engine()).unwrap();
-        assert!(report.is_clean(), "{:?}", report.findings);
-    }
 }

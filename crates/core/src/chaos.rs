@@ -1363,7 +1363,6 @@ fn drive_shard(
     };
 
     // Live micro-batch ingest, with a coordinator restart mid-night.
-    let load_cfg = ShardLoadConfig::default();
     let mut router = ShardRouter::new(map);
     let mut pacing = SplitMix64::new(cfg.seed ^ 0x16E57);
     let (mut coordinator_restarts, mut requeues, mut fenced_flushes) = (0u64, 0u64, 0u64);
@@ -1393,7 +1392,7 @@ fn drive_shard(
             coordinator_restarts += 1;
         }
         let group = group_slot.read().unwrap().clone();
-        let loader = ShardLoader::new(group, load_cfg.clone(), obs);
+        let loader = ShardLoader::new(group, ShardLoadConfig, obs);
         let r = loader.load_files(&mut router, std::slice::from_ref(file), Some(&journal))?;
         requeues += r.requeues;
         fenced_flushes += r.fenced_flushes;

@@ -214,12 +214,6 @@ impl LoaderConfig {
         self
     }
 
-    /// Builder-style: set the client heap budget.
-    pub fn with_client_heap_budget(mut self, bytes: u64) -> Self {
-        self.client_heap_budget = bytes;
-        self
-    }
-
     /// Builder-style: set the retry/resilience policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;

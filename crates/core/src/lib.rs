@@ -16,8 +16,8 @@
 //!    from a config file, memory high-water mark).
 //! 3. **Optimized parallelism** — [`parallel`]: one loader per cluster
 //!    node with on-the-fly file assignment.
-//! 4. **Database and system tuning** — [`tune`]: the §4.5 guidelines as
-//!    executable presets plus batch/array autotuning sweeps.
+//! 4. **Database and system tuning** — the §4.5 settings are the
+//!    defaults of [`LoaderConfig::paper`] and [`skydb::DbConfig::paper`].
 //!
 //! Plus [`recovery`] (checkpoint journal for crash-resume), [`resilience`]
 //! (retry/backoff/circuit-breaker/degradation policy for flaky links) and
@@ -58,11 +58,9 @@ pub mod parallel;
 pub mod recovery;
 pub mod repair;
 pub mod report;
-pub mod reprocess;
 pub mod resilience;
 pub mod serving;
 pub mod shardload;
-pub mod tune;
 pub mod twophase;
 
 pub use arrayset::{ArraySet, SealedArraySet};
@@ -80,10 +78,6 @@ pub use parallel::{load_night, load_night_with_journal, NightError};
 pub use recovery::LoadJournal;
 pub use repair::{run_repair, source_file_for, RepairReport};
 pub use report::{FailedFile, FileReport, ModeledCost, NightReport, SkipKind, SkipRecord};
-pub use reprocess::{
-    acquire_reprocess_fence, delete_observation, delete_observation_fenced, reprocess_observation,
-    PurgeReport,
-};
 pub use serving::{run_serve_load, QueueStats, ServeLoadConfig, ServeLoadOutcome, ServeLoadReport};
 pub use shardload::{
     clean_reference, fresh_catalog_server, shard_epoch_journal_key, RoutedFile, ShardLoadConfig,
@@ -95,7 +89,6 @@ pub use resilience::{
     classify, fault_label, Backoff, CircuitBreaker, DegradeTransition, Degrader, ErrorClass,
     RetryPolicy, MAX_DEGRADE_LEVEL,
 };
-pub use tune::{autotune_array_size, autotune_batch_size, SweepResult, TuningGuideline};
 pub use twophase::{load_two_phase, start_task_server, TwoPhaseReport};
 
 // Re-export the commonly paired substrates so downstream users need only

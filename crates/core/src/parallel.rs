@@ -846,7 +846,7 @@ mod tests {
         let server = fresh_server();
         // Rare faults: each one trips the hair-trigger breaker, but the
         // requeued reload usually gets a long clean window to resume in.
-        server.inject_call_faults(251);
+        server.set_fault_plan(Some(skydb::FaultPlan::every_nth(251)));
         let loader = LoaderConfig::test()
             .with_array_size(300)
             .with_commit_policy(crate::config::CommitPolicy::PerFlush)

@@ -122,11 +122,6 @@ impl ShardRouter {
         }
     }
 
-    /// The zone that owns `object_id`, if this router has routed it.
-    pub fn owner_zone(&self, object_id: i64) -> Option<u32> {
-        self.owner.get(&object_id).copied()
-    }
-
     /// Route one file: malformed lines and corrupt records are skipped
     /// (exactly as the single-engine loader skips them), replicated
     /// tables broadcast to every zone, zoned tables route by first-seen
@@ -192,31 +187,24 @@ impl ShardRouter {
     }
 }
 
-/// Knobs for the sharded loader's flush-and-requeue loop.
-#[derive(Debug, Clone)]
-pub struct ShardLoadConfig {
-    /// Per-call session budget on flushes.
-    pub call_timeout: Duration,
-    /// How many times one file may requeue (fencing races, shard
-    /// failovers, connection weather) before the load fails loudly.
-    pub max_file_attempts: u32,
-    /// Real-time pause before retrying a requeued file — long enough for
-    /// the supervisor to notice a dead shard and rebuild it.
-    pub retry_pause: Duration,
-    /// Insert batch size per `execute_batch` call.
-    pub batch_size: usize,
-}
+/// Per-call session budget on flushes.
+const CALL_TIMEOUT: Duration = Duration::from_millis(50);
 
-impl Default for ShardLoadConfig {
-    fn default() -> Self {
-        ShardLoadConfig {
-            call_timeout: Duration::from_millis(50),
-            max_file_attempts: 200,
-            retry_pause: Duration::from_millis(5),
-            batch_size: 300,
-        }
-    }
-}
+/// How many times one file may requeue (fencing races, shard failovers,
+/// connection weather) before the load fails loudly.
+const MAX_FILE_ATTEMPTS: u32 = 200;
+
+/// Real-time pause before retrying a requeued file — long enough for the
+/// supervisor to notice a dead shard and rebuild it.
+const RETRY_PAUSE: Duration = Duration::from_millis(5);
+
+/// Insert batch size per `execute_batch` call.
+const BATCH_SIZE: usize = 300;
+
+/// Configuration of a [`ShardLoader`]. It carries no settings: the
+/// loader's timeout, retry and batch values are the constants above.
+#[derive(Debug, Clone, Default)]
+pub struct ShardLoadConfig;
 
 /// What one sharded load did.
 #[derive(Debug, Clone, Default)]
@@ -238,7 +226,6 @@ pub struct ShardLoadReport {
 /// fencing epochs.
 pub struct ShardLoader {
     group: Arc<ShardGroup>,
-    cfg: ShardLoadConfig,
     m_flushes: skyobs::CounterHandle,
     m_rows: skyobs::CounterHandle,
     m_requeues: skyobs::CounterHandle,
@@ -249,12 +236,11 @@ impl ShardLoader {
     /// A loader over `group`, registering `shard.*` counters in `obs`.
     pub fn new(
         group: Arc<ShardGroup>,
-        cfg: ShardLoadConfig,
+        _cfg: ShardLoadConfig,
         obs: &skyobs::Registry,
     ) -> ShardLoader {
         ShardLoader {
             group,
-            cfg,
             m_flushes: obs.counter("shard.flushes"),
             m_rows: obs.counter("shard.rows_applied"),
             m_requeues: obs.counter("shard.requeues"),
@@ -301,10 +287,10 @@ impl ShardLoader {
                     if class == ErrorClass::Permanent {
                         return Err(format!("file {} failed permanently: {e}", file.name));
                     }
-                    if attempts + 1 >= self.cfg.max_file_attempts {
+                    if attempts + 1 >= MAX_FILE_ATTEMPTS {
                         return Err(format!(
-                            "file {} exhausted {} attempts: {e}",
-                            file.name, self.cfg.max_file_attempts
+                            "file {} exhausted {MAX_FILE_ATTEMPTS} attempts: {e}",
+                            file.name
                         ));
                     }
                     if class == ErrorClass::Fenced {
@@ -314,7 +300,7 @@ impl ShardLoader {
                     report.requeues += 1;
                     self.m_requeues.inc();
                     queue.push_back((i, attempts + 1));
-                    std::thread::sleep(self.cfg.retry_pause);
+                    std::thread::sleep(RETRY_PAUSE);
                 }
             }
         }
@@ -345,7 +331,7 @@ impl ShardLoader {
     fn flush_zone(&self, zone: u32, tables: &[Vec<Row>]) -> DbResult<u64> {
         let server = self.group.server(zone);
         let session = server.connect();
-        session.set_call_timeout(Some(self.cfg.call_timeout));
+        session.set_call_timeout(Some(CALL_TIMEOUT));
         session.set_fence(Some(self.group.write_fence(zone)));
         let outcome = self.flush_zone_inner(&session, tables);
         if outcome.is_err() {
@@ -358,20 +344,48 @@ impl ShardLoader {
     }
 
     fn flush_zone_inner(&self, session: &Session, tables: &[Vec<Row>]) -> DbResult<u64> {
-        let applied = insert_zone_rows(session, tables, self.cfg.batch_size)?;
+        let applied = insert_zone_rows(session, tables, BATCH_SIZE)?.total_applied();
         self.m_flushes.inc();
         self.m_rows.add(applied);
         Ok(applied)
     }
 }
 
-/// Insert one zone's share of a file — each catalog table in batches of at
-/// most `batch_size` rows — and commit, returning the rows applied. Same
-/// contract as the single-engine bulk path: only proven-bad rows
-/// (constraint/type) are skipped; any other failure aborts, leaving the
+/// What one [`insert_zone_rows`] call did.
+#[derive(Debug)]
+pub(crate) struct ZoneInsert {
+    /// Rows applied, indexed by [`CATALOG_TABLES`] position.
+    pub applied: Vec<u64>,
+    /// `execute_batch` calls made.
+    pub calls: u64,
+    /// Rows skipped as proven bad (constraint or type errors).
+    pub skipped: u64,
+}
+
+impl ZoneInsert {
+    /// Rows applied across every table.
+    pub fn total_applied(&self) -> u64 {
+        self.applied.iter().sum()
+    }
+}
+
+/// Insert per-table rows — `tables[i]` bound for [`CATALOG_TABLES`]`[i]`,
+/// in batches of at most `batch_size` rows — and commit: the paper's
+/// Fig. 3 batch loop, shared by the shard loader and the two-phase loader.
+/// Same contract as the single-engine bulk path: a proven-bad row
+/// (constraint/type) at batch offset `k` is skipped alone and the next
+/// batch starts at `k + 1`; any other failure aborts, leaving the
 /// transaction for the caller to roll back.
-fn insert_zone_rows(session: &Session, tables: &[Vec<Row>], batch_size: usize) -> DbResult<u64> {
-    let mut applied = 0u64;
+pub(crate) fn insert_zone_rows(
+    session: &Session,
+    tables: &[Vec<Row>],
+    batch_size: usize,
+) -> DbResult<ZoneInsert> {
+    let mut out = ZoneInsert {
+        applied: vec![0; tables.len()],
+        calls: 0,
+        skipped: 0,
+    };
     for (idx, rows) in tables.iter().enumerate() {
         if rows.is_empty() {
             continue;
@@ -381,10 +395,12 @@ fn insert_zone_rows(session: &Session, tables: &[Vec<Row>], batch_size: usize) -
         while first < rows.len() {
             let end = first + batch_size.min(rows.len() - first);
             let outcome = session.execute_batch(&stmt, &rows[first..end])?;
-            applied += outcome.applied as u64;
+            out.calls += 1;
+            out.applied[idx] += outcome.applied as u64;
             match outcome.failed {
                 None => first = end,
                 Some((offset, err)) if classify(&err) == ErrorClass::Permanent => {
+                    out.skipped += 1;
                     first = first + offset + 1;
                 }
                 Some((_, err)) => return Err(err),
@@ -392,18 +408,16 @@ fn insert_zone_rows(session: &Session, tables: &[Vec<Row>], batch_size: usize) -
         }
     }
     session.commit()?;
-    Ok(applied)
+    Ok(out)
 }
 
 /// Knobs for the shard supervisor.
 #[derive(Debug, Clone)]
 pub struct ShardSupervisorConfig {
-    /// A shard whose heartbeat is older than this is declared dead.
+    /// A shard whose heartbeat is older than this is declared dead. The
+    /// heartbeat pulses every TTL/4 (the fleet's convention) and the
+    /// supervisor polls every TTL/8, each at least 1 ms.
     pub lease_ttl: Duration,
-    /// Heartbeat pulse interval (TTL/4 is the fleet's convention).
-    pub heartbeat_interval: Duration,
-    /// Supervisor poll interval.
-    pub tick: Duration,
     /// Database configuration for rebuilt shard engines.
     pub db_config: DbConfig,
     /// Fault plan to re-arm on a rebuilt shard (connection weather keeps
@@ -416,8 +430,6 @@ impl ShardSupervisorConfig {
     pub fn soak(db_config: DbConfig, lease_ttl: Duration) -> ShardSupervisorConfig {
         ShardSupervisorConfig {
             lease_ttl,
-            heartbeat_interval: (lease_ttl / 4).max(Duration::from_millis(1)),
-            tick: (lease_ttl / 8).max(Duration::from_millis(1)),
             db_config,
             fault_plan: None,
         }
@@ -545,14 +557,14 @@ impl ShardSupervisor {
             if !health.stalled.load(Ordering::Acquire) && !self.group.server(zone).is_crashed() {
                 health.heartbeat.store(self.elapsed_ms(), Ordering::Release);
             }
-            std::thread::sleep(self.cfg.heartbeat_interval);
+            std::thread::sleep((self.cfg.lease_ttl / 4).max(Duration::from_millis(1)));
         }
     }
 
     fn supervise_loop(&self) {
         let ttl = self.cfg.lease_ttl.as_millis() as u64;
         while !self.stop.load(Ordering::Acquire) {
-            std::thread::sleep(self.cfg.tick);
+            std::thread::sleep((self.cfg.lease_ttl / 8).max(Duration::from_millis(1)));
             for zone in 0..self.group.zones() {
                 let server = self.group.server(zone);
                 let last = self.zones[zone as usize].heartbeat.load(Ordering::Acquire);
@@ -717,8 +729,9 @@ pub fn clean_reference(map: &ZoneMap, files: &[CatalogFile]) -> Result<ShardRefe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skycat::gen::{aggregate_expected, generate_observation, GenConfig};
+    use skycat::gen::{aggregate_expected, generate_file, generate_observation, GenConfig};
     use skydb::shard::GatherPolicy;
+    use skydb::{DbError, Key};
 
     fn night(seed: u64, files: usize) -> Vec<CatalogFile> {
         let cfg = GenConfig::night(seed, 100)
@@ -741,12 +754,102 @@ mod tests {
         ))
     }
 
+    /// One clean file routed to a single zone: `tables[i]` holds its rows
+    /// for `CATALOG_TABLES[i]`.
+    fn single_zone_tables(seed: u64) -> Vec<Vec<Row>> {
+        let file = generate_file(&GenConfig::small(seed, 100), 0);
+        let mut router = ShardRouter::new(ZoneMap::band(1, -1.2, 1.2));
+        router.route(&file, None).zone_rows(0).to_vec()
+    }
+
+    fn table_index(name: &str) -> usize {
+        CATALOG_TABLES.iter().position(|t| *t == name).unwrap()
+    }
+
+    fn committed(server: &Server, table: &str, row: &Row) -> bool {
+        let engine = server.engine();
+        let tid = engine.table_id(table).unwrap();
+        let key = Key(vec![row[0].clone()]);
+        engine.pk_get_committed(tid, &key).unwrap().is_some()
+    }
+
+    #[test]
+    fn batch_loop_skips_exactly_the_bad_row_and_resumes_after_it() {
+        let mut tables = single_zone_tables(31);
+        let (fingers, flags) = (table_index("fingers"), table_index("object_flags"));
+        assert!(tables[fingers].len() > 6 && tables[flags].len() > 1);
+        // A CHECK violation at offset 5 of `fingers` (finger_no must lie
+        // in 1..=4) and a foreign-key violation at offset 0 of
+        // `object_flags` (no such object).
+        tables[fingers][5][2] = Value::Int(9);
+        tables[flags][0][1] = Value::Int(-1);
+
+        let obs = Arc::new(skyobs::Registry::new());
+        let server = fresh_catalog_server(DbConfig::test(), &obs).unwrap();
+        let batch = 4;
+        let out = insert_zone_rows(&server.connect(), &tables, batch).unwrap();
+
+        assert_eq!(out.skipped, 2);
+        for (idx, rows) in tables.iter().enumerate() {
+            let bad = u64::from(idx == fingers || idx == flags);
+            assert_eq!(
+                out.applied[idx],
+                rows.len() as u64 - bad,
+                "{}",
+                CATALOG_TABLES[idx]
+            );
+        }
+        // Every clean table takes ceil(n / batch) calls. `fingers` fails
+        // in its second batch and resumes at offset 6; `object_flags`
+        // fails its first call and resumes at offset 1.
+        let clean_calls: u64 = (0..tables.len())
+            .filter(|&i| i != fingers && i != flags)
+            .map(|i| tables[i].len().div_ceil(batch) as u64)
+            .sum();
+        let fingers_calls = 2 + (tables[fingers].len() - 6).div_ceil(batch) as u64;
+        let flags_calls = 1 + (tables[flags].len() - 1).div_ceil(batch) as u64;
+        assert_eq!(out.calls, clean_calls + fingers_calls + flags_calls);
+
+        assert!(committed(&server, "fingers", &tables[fingers][4]));
+        assert!(!committed(&server, "fingers", &tables[fingers][5]));
+        assert!(committed(&server, "fingers", &tables[fingers][6]));
+        assert!(!committed(&server, "object_flags", &tables[flags][0]));
+        assert!(committed(&server, "object_flags", &tables[flags][1]));
+    }
+
+    #[test]
+    fn batch_loop_aborts_on_a_key_staged_by_another_transaction() {
+        let tables = single_zone_tables(33);
+        let obs = Arc::new(skyobs::Registry::new());
+        let server = fresh_catalog_server(DbConfig::test(), &obs).unwrap();
+        // A second open transaction stages the key of the first table's
+        // second row, so the loader's first batch meets it at offset 1.
+        let holder = server.connect();
+        let stmt = holder.prepare_insert(CATALOG_TABLES[0]).unwrap();
+        holder.execute(&stmt, tables[0][1].clone()).unwrap();
+
+        let loader = server.connect();
+        let err = insert_zone_rows(&loader, &tables, 4).unwrap_err();
+        assert!(matches!(err, DbError::WriteConflict(_)), "{err}");
+        assert_eq!(classify(&err), ErrorClass::Contended);
+        // Nothing is committed, not even the row before the conflict.
+        let engine = server.engine();
+        for table in CATALOG_TABLES {
+            let tid = engine.table_id(table).unwrap();
+            let visible = engine.scan_where_committed(tid, None).unwrap().rows;
+            assert!(visible.is_empty(), "{table} has committed rows");
+        }
+        assert!(!committed(&server, CATALOG_TABLES[0], &tables[0][0]));
+        loader.rollback().unwrap();
+        holder.rollback().unwrap();
+    }
+
     #[test]
     fn sharded_load_matches_single_engine_reference_per_zone() {
         let files = night(2005, 3);
         let obs = Arc::new(skyobs::Registry::new());
         let group = build_group(3, &obs);
-        let loader = ShardLoader::new(group.clone(), ShardLoadConfig::default(), &obs);
+        let loader = ShardLoader::new(group.clone(), ShardLoadConfig, &obs);
         let mut router = ShardRouter::new(*group.map());
         let report = loader.load_files(&mut router, &files, None).unwrap();
         assert_eq!(report.files_loaded, 3);
@@ -775,7 +878,7 @@ mod tests {
         let files = night(7, 2);
         let obs = Arc::new(skyobs::Registry::new());
         let group = build_group(2, &obs);
-        let loader = ShardLoader::new(group.clone(), ShardLoadConfig::default(), &obs);
+        let loader = ShardLoader::new(group.clone(), ShardLoadConfig, &obs);
         let journal = LoadJournal::new();
         let mut router = ShardRouter::new(*group.map());
         loader
@@ -814,7 +917,7 @@ mod tests {
         let files = night(11, 2);
         let obs = Arc::new(skyobs::Registry::new());
         let group = build_group(2, &obs);
-        let loader = ShardLoader::new(group.clone(), ShardLoadConfig::default(), &obs);
+        let loader = ShardLoader::new(group.clone(), ShardLoadConfig, &obs);
         let journal = Arc::new(LoadJournal::new());
         let mut router = ShardRouter::new(*group.map());
         loader
@@ -880,7 +983,7 @@ mod tests {
             }
             g2.restore_epoch(0, 1);
         });
-        let loader = ShardLoader::new(group.clone(), ShardLoadConfig::default(), &obs);
+        let loader = ShardLoader::new(group.clone(), ShardLoadConfig, &obs);
         let mut router = ShardRouter::new(*group.map());
         let report = loader.load_files(&mut router, &files, None).unwrap();
         heal.join().unwrap();

@@ -27,7 +27,9 @@
 //!    the Publish database in parent-before-child order.
 //!
 //! The Task database lives on its own server (its own CPU gate, network
-//! endpoint and disks), as SDSS's Task DBs did on the cluster nodes.
+//! endpoint and disks), as SDSS's Task DBs did on the cluster nodes. Both
+//! bulk loads (steps 2 and 4) run the shard loader's Fig. 3 batch loop,
+//! so the comparison differs from single-pass loading only in its phases.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -44,7 +46,7 @@ use skydb::value::{Key, Row};
 use skydb::DbConfig;
 
 use crate::config::LoaderConfig;
-use crate::report::SkipKind;
+use crate::shardload::insert_zone_rows;
 
 /// Outcome of a two-phase load.
 #[derive(Debug, Clone, Default, Serialize)]
@@ -133,44 +135,36 @@ pub fn load_two_phase(
         }
     }
 
-    // ---- Phase 0: convert the interleaved file to per-table row sets.
-    let mut per_table: BTreeMap<&'static str, Vec<Row>> = BTreeMap::new();
+    // ---- Phase 0: convert the interleaved file to per-table row sets,
+    // indexed by CATALOG_TABLES position.
+    let mut per_table: Vec<Vec<Row>> = vec![Vec::new(); skycat::CATALOG_TABLES.len()];
     for line in file.text.lines() {
         let Ok(rec) = parse_line(line) else {
             report.convert_dropped += 1;
             continue;
         };
         match transform(&rec) {
-            Ok((table, row)) => per_table.entry(table).or_default().push(row),
+            Ok((table, row)) => {
+                let idx = skycat::CATALOG_TABLES.iter().position(|t| *t == table);
+                per_table[idx.expect("transform yields catalog tables")].push(row);
+            }
             Err(_) => report.convert_dropped += 1,
         }
     }
 
     // ---- Phase 1: bulk load each per-table file into the Task DB.
-    let task_session = task.connect();
-    for table_name in skycat::CATALOG_TABLES {
-        let Some(rows) = per_table.get(table_name) else {
-            continue;
-        };
-        let stmt = task_session.prepare_insert(table_name)?;
-        let mut loaded = 0u64;
-        let mut first = 0usize;
-        while first < rows.len() {
-            let end = (first + cfg.batch_size).min(rows.len());
-            let out = task_session.execute_batch(&stmt, &rows[first..end])?;
-            report.task_calls += 1;
-            loaded += out.applied as u64;
-            match out.failed {
-                None => first = end,
-                Some((offset, _)) => {
-                    report.task_rejected += 1;
-                    first = first + offset + 1;
-                }
-            }
+    let task_out = insert_zone_rows(&task.connect(), &per_table, cfg.batch_size)?;
+    report.task_calls = task_out.calls;
+    report.task_rejected = task_out.skipped;
+    for ((table_name, rows), loaded) in skycat::CATALOG_TABLES
+        .iter()
+        .zip(&per_table)
+        .zip(task_out.applied)
+    {
+        if !rows.is_empty() {
+            report.task_rows.insert((*table_name).to_owned(), loaded);
         }
-        report.task_rows.insert(table_name.to_owned(), loaded);
     }
-    task_session.commit()?;
 
     // ---- Phase 2: validate referential integrity inside the Task DB.
     // For each child table, check its FK columns against the parent's
@@ -182,7 +176,7 @@ pub fn load_two_phase(
         .into_iter()
         .map(|s| (s.name.clone(), s))
         .collect();
-    let mut validated: BTreeMap<&'static str, Vec<Row>> = BTreeMap::new();
+    let mut validated: Vec<Vec<Row>> = Vec::with_capacity(skycat::CATALOG_TABLES.len());
     let mut surviving_keys: BTreeMap<String, std::collections::BTreeSet<Key>> = BTreeMap::new();
     for table_name in skycat::CATALOG_TABLES {
         let schema = &full_schemas[table_name];
@@ -215,39 +209,17 @@ pub fn load_two_phase(
                 .insert(Key::project(&row, &schema.primary_key));
             keep.push(row);
         }
-        validated.insert(table_name, keep);
+        validated.push(keep);
     }
 
     // ---- Phase 3: publish in parent-before-child order.
-    let publish_session = publish.connect();
-    for table_name in skycat::CATALOG_TABLES {
-        let Some(rows) = validated.get(table_name) else {
-            continue;
-        };
-        let stmt = publish_session.prepare_insert(table_name)?;
-        let mut published = 0u64;
-        let mut first = 0usize;
-        while first < rows.len() {
-            let end = (first + cfg.batch_size).min(rows.len());
-            let out = publish_session.execute_batch(&stmt, &rows[first..end])?;
-            report.publish_calls += 1;
-            published += out.applied as u64;
-            match out.failed {
-                None => first = end,
-                Some((offset, _)) => first = first + offset + 1,
-            }
-        }
-        report.published.insert(table_name.to_owned(), published);
+    let publish_out = insert_zone_rows(&publish.connect(), &validated, cfg.batch_size)?;
+    report.publish_calls = publish_out.calls;
+    for (table_name, published) in skycat::CATALOG_TABLES.iter().zip(publish_out.applied) {
+        report.published.insert((*table_name).to_owned(), published);
     }
-    publish_session.commit()?;
 
     Ok(report)
-}
-
-/// Classify a task-phase rejection for reporting symmetry with the
-/// single-pass loader. (Currently unused beyond tests, kept for parity.)
-pub fn classify_rejection(err: &skydb::DbError) -> SkipKind {
-    SkipKind::from_db_error(err)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use skycat::gen::{generate_file, GenConfig};
-use skydb::{DbConfig, Server};
+use skydb::{DbConfig, FaultPlan, Server};
 use skyloader::{
     load_catalog_file, load_catalog_text_with_journal, CommitPolicy, LoadJournal, LoaderConfig,
     PipelineMode,
@@ -108,7 +108,7 @@ proptest! {
         let run = |cfg: &LoaderConfig| {
             let server = fresh_server();
             let journal = LoadJournal::default();
-            server.inject_call_faults(every);
+            server.set_fault_plan(Some(FaultPlan::every_nth(every)));
             let session = server.connect();
             let outcome =
                 load_catalog_text_with_journal(&session, cfg, &file.name, &file.text, &journal);
@@ -117,7 +117,7 @@ proptest! {
             let counts_at_failure = table_counts(&server);
             // Faultless resume from the journal, after rolling back the
             // wounded transaction — what parallel.rs's retry loop does.
-            server.inject_call_faults(0);
+            server.set_fault_plan(None);
             session.rollback().unwrap();
             let resumed =
                 load_catalog_text_with_journal(&session, cfg, &file.name, &file.text, &journal)

@@ -43,7 +43,6 @@ use skysim::rng::SplitMix64;
 struct SecondaryIndex {
     name: String,
     columns: Vec<usize>,
-    unique: bool,
     tree: BPlusTree,
 }
 
@@ -422,7 +421,6 @@ impl Engine {
         ts.secondaries.write().push(SecondaryIndex {
             name: index_name.into(),
             columns: cols,
-            unique,
             tree,
         });
         Ok(())
@@ -479,17 +477,6 @@ impl Engine {
         let ts = self.state(tid);
         let secs = ts.secondaries.read();
         Ok(secs.iter().map(|s| s.name.clone()).collect())
-    }
-
-    /// Metadata of one secondary index: `(column positions, unique)`.
-    pub fn index_info(&self, table: &str, index_name: &str) -> DbResult<(Vec<usize>, bool)> {
-        let tid = self.table_id(table)?;
-        let ts = self.state(tid);
-        let secs = ts.secondaries.read();
-        secs.iter()
-            .find(|s| s.name == index_name)
-            .map(|s| (s.columns.clone(), s.unique))
-            .ok_or_else(|| DbError::NoSuchIndex(index_name.into()))
     }
 
     // ----------------------------------------------------------------- txns
@@ -630,47 +617,13 @@ impl Engine {
     /// holds a foreign-key reference to a row being deleted, the statement
     /// fails atomically with a foreign-key violation.
     ///
-    /// Returns the number of rows deleted. Used for pipeline reprocessing
-    /// (delete a night's derived rows, re-extract, reload).
+    /// Returns the number of rows deleted.
     ///
     /// Deletes are maintenance operations: the RESTRICT check and the
     /// physical deletes are not atomic against *concurrent* inserts into
     /// child tables, so run them while no loaders are writing the affected
-    /// tables (as production reprocessing does).
+    /// tables.
     pub fn delete_where(&self, txn: TxnId, table: TableId, filter: Option<&Expr>) -> DbResult<u64> {
-        self.delete_matching(txn, table, &mut |row| {
-            Ok(match filter {
-                Some(f) => f.eval_truth(row)?.selects(),
-                None => true,
-            })
-        })
-    }
-
-    /// Delete every row whose primary key is in `keys` (set-based fast path
-    /// for bulk purges: O(rows · log keys) instead of a filter-expression
-    /// scan). Same RESTRICT semantics and concurrency contract as
-    /// [`Engine::delete_where`].
-    pub fn delete_by_pks(
-        &self,
-        txn: TxnId,
-        table: TableId,
-        keys: &std::collections::BTreeSet<Key>,
-    ) -> DbResult<u64> {
-        if keys.is_empty() {
-            return Ok(0);
-        }
-        let pk_cols = self.schema(table).primary_key.clone();
-        self.delete_matching(txn, table, &mut |row| {
-            Ok(keys.contains(&Key::project(row, &pk_cols)))
-        })
-    }
-
-    fn delete_matching(
-        &self,
-        txn: TxnId,
-        table: TableId,
-        matches: &mut dyn FnMut(&Row) -> DbResult<bool>,
-    ) -> DbResult<u64> {
         let ts = self.state(table);
         // 1. Collect victims.
         let mut victims: Vec<(RowId, Row)> = Vec::new();
@@ -679,7 +632,11 @@ impl Engine {
             for (rid, bytes) in heap.scan() {
                 let mut slice = bytes;
                 let row = decode_row(&mut slice)?;
-                if matches(&row)? {
+                let hit = match filter {
+                    Some(f) => f.eval_truth(&row)?.selects(),
+                    None => true,
+                };
+                if hit {
                     victims.push((rid, row));
                 }
             }
@@ -1351,12 +1308,6 @@ impl Engine {
         Ok(QueryOutcome { rows, examined })
     }
 
-    /// `true` if `table` refers to an existing table. Wire requests carry
-    /// raw table ids that must be validated before indexing engine state.
-    pub fn table_exists(&self, table: TableId) -> bool {
-        table.index() < self.tables.read().len()
-    }
-
     /// The table's name, if the id is valid.
     pub fn table_name(&self, table: TableId) -> Option<String> {
         self.tables
@@ -1612,11 +1563,6 @@ impl Engine {
     /// The disk farm.
     pub fn farm(&self) -> &DiskFarm {
         &self.farm
-    }
-
-    /// Transaction manager metrics.
-    pub fn txn_manager(&self) -> &TxnManager {
-        &self.txns
     }
 
     /// Lock waits observed on table insert slots.

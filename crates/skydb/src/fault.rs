@@ -171,8 +171,8 @@ pub enum CallClass {
 pub struct FaultPlanConfig {
     /// Seed every schedule derives from.
     pub seed: u64,
-    /// Legacy schedule: fail every `n`th call with a connection reset
-    /// (0 = off). Kept exact for the `inject_call_faults` shim.
+    /// Deterministic schedule: fail every `n`th call with a connection
+    /// reset (0 = off).
     pub reset_every: u64,
     /// Connection-reset probability per call.
     pub reset_rate: f64,
@@ -460,8 +460,8 @@ impl FaultPlan {
         }
     }
 
-    /// The legacy every-Nth connection-reset schedule, exactly as
-    /// `Server::inject_call_faults` always behaved.
+    /// A plan that resets every `n`th client call, counting from
+    /// installation, and injects nothing else.
     pub fn every_nth(every: u64) -> Self {
         FaultPlan::new(FaultPlanConfig {
             reset_every: every,

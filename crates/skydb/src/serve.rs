@@ -109,12 +109,6 @@ impl ServeConfig {
         self
     }
 
-    /// Builder-style: set the fast slot count.
-    pub fn with_fast_slots(mut self, n: usize) -> Self {
-        self.fast_slots = n;
-        self
-    }
-
     /// Builder-style: set the slow worker count.
     pub fn with_slow_workers(mut self, n: usize) -> Self {
         self.slow_workers = n;

@@ -218,20 +218,6 @@ impl Server {
         &self.cpu
     }
 
-    /// Inject a connection fault on every `n`th client call (0 disables).
-    /// Models the flaky links and driver timeouts a multi-hour production
-    /// load inevitably hits; loaders must recover without losing or
-    /// duplicating rows.
-    ///
-    /// Thin shim over [`Server::set_fault_plan`]: installs (or, for 0,
-    /// removes) a [`FaultPlan::every_nth`] schedule. Call counting starts
-    /// from the installation point, exactly as the original counter only
-    /// advanced while a schedule was active.
-    pub fn inject_call_faults(&self, every: u64) {
-        let plan = (every != 0).then(|| FaultPlan::every_nth(every));
-        self.set_fault_plan(plan);
-    }
-
     /// Install (or, with `None`, remove) a fault plan. Per-kind fault
     /// counters are owned by the server and survive the swap.
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
@@ -1043,24 +1029,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_shim_preserves_every_nth_semantics() {
-        let s = server();
-        s.inject_call_faults(2);
-        let sess = s.connect();
-        let stmt = sess.prepare_insert("frames").unwrap();
-        // Call 1 proceeds, call 2 resets, …
-        sess.execute(&stmt, frame(1)).unwrap();
-        let err = sess.execute(&stmt, frame(2)).unwrap_err();
-        assert!(matches!(err, DbError::Protocol(m) if m.contains("connection reset")));
-        assert_eq!(s.fault_count(crate::fault::FaultKind::Reset), 1);
-        s.inject_call_faults(0);
-        sess.execute(&stmt, frame(2)).unwrap();
-        sess.commit().unwrap();
-        assert_eq!(s.faults_injected(), 1, "counts survive plan removal");
-        assert_eq!(s.faults_by_kind().get("reset"), Some(&1));
-    }
-
-    #[test]
     fn busy_fault_surfaces_server_busy() {
         let s = server();
         s.set_fault_plan(Some(FaultPlan::new(
@@ -1115,6 +1083,8 @@ mod tests {
         // the commit lands the row exactly once.
         assert!(sess.current_txn().is_some());
         s.set_fault_plan(None);
+        assert_eq!(s.faults_injected(), 1, "counts survive plan removal");
+        assert_eq!(s.faults_by_kind().get("disk_full"), Some(&1));
         sess.commit().unwrap();
         let fid = s.engine().table_id("frames").unwrap();
         assert_eq!(s.engine().row_count(fid), 1);

@@ -415,27 +415,6 @@ impl ShardGroup {
         )
     }
 
-    /// Scatter a read over `zones`, retrying each zone with deterministic
-    /// jitter under the per-shard budget, and gather per-zone results in
-    /// zone order. A zone that stays down is either reported (partial) or
-    /// fails the gather, per [`GatherPolicy::allow_partial`].
-    pub fn gather_each<F>(&self, zones: &[u32], f: F) -> DbResult<Vec<(u32, Vec<Row>, Duration)>>
-    where
-        F: Fn(&Session, u32) -> DbResult<(Vec<Row>, Duration)>,
-    {
-        // Degraded-read bookkeeping rides on `gather`; this inner form
-        // returns only the zones that answered and errors otherwise.
-        let ordinal = self.gather_ordinal.fetch_add(1, Ordering::Relaxed);
-        let mut out = Vec::with_capacity(zones.len());
-        for &zone in zones {
-            match self.query_zone(ordinal, zone, &f) {
-                Ok((rows, modeled)) => out.push((zone, rows, modeled)),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(out)
-    }
-
     fn query_zone<F>(&self, ordinal: u64, zone: u32, f: &F) -> DbResult<(Vec<Row>, Duration)>
     where
         F: Fn(&Session, u32) -> DbResult<(Vec<Row>, Duration)>,

@@ -160,7 +160,7 @@ fn concurrent_duplicate_inserts_admit_exactly_one() {
 }
 
 #[test]
-fn delete_by_pks_under_concurrent_reads() {
+fn delete_under_concurrent_reads() {
     let e = stress_engine();
     let parents = e.table_id("parents").unwrap();
     let txn = e.begin();
@@ -169,12 +169,7 @@ fn delete_by_pks_under_concurrent_reads() {
     }
     e.commit(txn).unwrap();
 
-    let victims: std::collections::BTreeSet<Key> = (0..2_000)
-        .filter(|i| i % 3 == 0)
-        .map(|i| Key(vec![Value::Int(i)]))
-        .collect();
-    let n_victims = victims.len() as u64;
-
+    let n_victims = 667u64;
     let stop = Arc::new(AtomicBool::new(false));
     std::thread::scope(|s| {
         let e2 = e.clone();
@@ -187,7 +182,8 @@ fn delete_by_pks_under_concurrent_reads() {
             }
         });
         let txn = e.begin();
-        let deleted = e.delete_by_pks(txn, parents, &victims).unwrap();
+        let filter = Expr::cmp(0, CmpOp::Lt, n_victims as i64);
+        let deleted = e.delete_where(txn, parents, Some(&filter)).unwrap();
         e.commit(txn).unwrap();
         assert_eq!(deleted, n_victims);
         stop.store(true, Ordering::Relaxed);
@@ -198,7 +194,7 @@ fn delete_by_pks_under_concurrent_reads() {
         .unwrap()
         .is_none());
     assert!(e
-        .pk_get(parents, &Key(vec![Value::Int(4)]))
+        .pk_get(parents, &Key(vec![Value::Int(1_000)]))
         .unwrap()
         .is_some());
 }

@@ -22,7 +22,7 @@
 //! The sub-modules are:
 //!
 //! * [`time`] — virtual [`time::SimClock`], [`TimeScale`], precision waiter.
-//! * [`metrics`] — lock-free counters, gauges and histograms.
+//! * [`metrics`] — lock-free event counters and modeled-time charges.
 //! * [`net`] — [`net::NetworkModel`]: round-trip latency + bandwidth per call.
 //! * [`disk`] — [`disk::DiskDevice`] / [`disk::DiskFarm`]: per-page service
 //!   times with real queueing across a configurable set of devices.
@@ -54,7 +54,7 @@ pub use cluster::{run_dynamic, run_static, AssignmentPolicy, NodeSpec};
 pub use cpu::{CpuGate, Semaphore};
 pub use disk::{DiskDevice, DiskFarm, DiskModel};
 pub use mem::MemoryModel;
-pub use metrics::{Counter, Histogram, TimeCharge};
+pub use metrics::{Counter, TimeCharge};
 pub use net::NetworkModel;
 pub use rng::SplitMix64;
 pub use time::{SimClock, TimeScale, Waiter};

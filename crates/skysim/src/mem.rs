@@ -64,12 +64,6 @@ impl MemoryModel {
         }
     }
 
-    /// A Condor-node-like client: 1 GB budget, 4 KiB pages, 80µs faults
-    /// (2005-era disk-backed swap, amortized).
-    pub fn condor_node(scale: TimeScale) -> Self {
-        MemoryModel::new(1 << 30, 4096, Duration::from_micros(80), scale)
-    }
-
     /// An unconstrained client (no budget pressure, zero penalties).
     pub fn unconstrained() -> Self {
         MemoryModel::new(u64::MAX / 2, 4096, Duration::ZERO, TimeScale::ZERO)

@@ -35,11 +35,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Reset to zero, returning the value before the reset.
-    pub fn reset(&self) -> u64 {
-        self.0.swap(0, Ordering::Relaxed)
-    }
 }
 
 /// Accumulated modeled time, in nanoseconds.
@@ -76,119 +71,6 @@ impl TimeCharge {
     pub fn duration(&self) -> Duration {
         Duration::from_nanos(self.nanos())
     }
-
-    /// Reset to zero, returning the nanoseconds before the reset.
-    pub fn reset(&self) -> u64 {
-        self.0.swap(0, Ordering::Relaxed)
-    }
-}
-
-/// Number of buckets in [`Histogram`]; powers of two up to `2^62`, plus
-/// an overflow bucket.
-const HIST_BUCKETS: usize = 64;
-
-/// A fixed-bucket (power-of-two) histogram of `u64` samples.
-///
-/// Used for batch sizes, lock-wait durations and I/O sizes. Recording is
-/// lock-free; reads are racy-but-consistent-enough for reporting.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Record a sample.
-    pub fn record(&self, v: u64) {
-        let idx = bucket_index(v);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all recorded samples.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Largest recorded sample, or zero if empty.
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Mean of recorded samples, or zero if empty.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// Approximate quantile (`0.0..=1.0`) from the bucket boundaries.
-    ///
-    /// The returned value is the *upper bound* of the bucket containing the
-    /// requested rank, so the approximation always errs upward by at most 2x.
-    pub fn quantile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((total as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_upper_bound(i);
-            }
-        }
-        self.max()
-    }
-}
-
-#[inline]
-fn bucket_index(v: u64) -> usize {
-    // Bucket i holds values in [2^(i-1)+1 .. 2^i]; bucket 0 holds {0, 1}.
-    if v <= 1 {
-        0
-    } else {
-        ((64 - (v - 1).leading_zeros()) as usize).min(HIST_BUCKETS - 1)
-    }
-}
-
-#[inline]
-fn bucket_upper_bound(i: usize) -> u64 {
-    if i >= 63 {
-        u64::MAX
-    } else {
-        1u64 << i
-    }
 }
 
 #[cfg(test)]
@@ -202,8 +84,6 @@ mod tests {
         assert_eq!(c.inc(), 0);
         assert_eq!(c.add(4), 1);
         assert_eq!(c.get(), 5);
-        assert_eq!(c.reset(), 5);
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
@@ -213,62 +93,5 @@ mod tests {
         t.charge(Duration::from_nanos(10));
         assert_eq!(t.nanos(), 3010);
         assert_eq!(t.duration(), Duration::from_nanos(3010));
-        assert_eq!(t.reset(), 3010);
-        assert_eq!(t.nanos(), 0);
-    }
-
-    #[test]
-    fn bucket_index_boundaries() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 0);
-        assert_eq!(bucket_index(2), 1);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 2);
-        assert_eq!(bucket_index(5), 3);
-        assert_eq!(bucket_index(8), 3);
-        assert_eq!(bucket_index(9), 4);
-        assert_eq!(bucket_index(u64::MAX), HIST_BUCKETS - 1);
-    }
-
-    #[test]
-    fn histogram_stats() {
-        let h = Histogram::new();
-        for v in [1u64, 2, 3, 4, 100] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 110);
-        assert_eq!(h.max(), 100);
-        assert!((h.mean() - 22.0).abs() < f64::EPSILON);
-        // Median lands in the bucket holding 3..4 → upper bound 4.
-        assert_eq!(h.quantile(0.5), 4);
-        assert!(h.quantile(1.0) >= 100);
-    }
-
-    #[test]
-    fn histogram_empty_quantile_is_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.quantile(0.99), 0);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn histogram_concurrent_recording() {
-        let h = std::sync::Arc::new(Histogram::new());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let h = h.clone();
-                std::thread::spawn(move || {
-                    for v in 0..1000u64 {
-                        h.record(v);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(h.count(), 4000);
-        assert_eq!(h.sum(), 4 * (999 * 1000 / 2));
     }
 }

@@ -128,13 +128,6 @@ impl NetworkModel {
     pub fn rtt(&self) -> Duration {
         self.inner.rtt
     }
-
-    /// Reset counters (calls, bytes, modeled time) to zero.
-    pub fn reset_counters(&self) {
-        self.inner.calls.reset();
-        self.inner.bytes.reset();
-        self.inner.modeled.reset();
-    }
 }
 
 #[cfg(test)]

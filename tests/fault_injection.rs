@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use skycat::gen::{aggregate_expected, generate_file, generate_observation, GenConfig};
-use skydb::{DbConfig, Server};
+use skydb::{DbConfig, FaultPlan, Server};
 use skyloader::{
     load_catalog_file, load_night_with_journal, CommitPolicy, LoadJournal, LoaderConfig,
 };
@@ -25,7 +25,7 @@ fn flaky_connection_with_journal_loads_exactly_once() {
     let expected = aggregate_expected(&files);
     let server = fresh_server();
     // Fail every 97th database call: several failures over the night.
-    server.inject_call_faults(97);
+    server.set_fault_plan(Some(FaultPlan::every_nth(97)));
 
     let journal = LoadJournal::new();
     let cfg = LoaderConfig::test()
@@ -50,7 +50,7 @@ fn flaky_connection_with_journal_loads_exactly_once() {
         server.faults_injected() > 0,
         "the fault plan should have fired"
     );
-    server.inject_call_faults(0);
+    server.set_fault_plan(None);
     for (table, expect) in &expected.loadable {
         let tid = server.engine().table_id(table).unwrap();
         assert_eq!(
@@ -68,7 +68,7 @@ fn flaky_connection_without_journal_still_converges() {
     // to exactly one copy of everything.
     let file = generate_file(&GenConfig::small(803, 100), 0);
     let server = fresh_server();
-    server.inject_call_faults(41);
+    server.set_fault_plan(Some(FaultPlan::every_nth(41)));
     load_night_with_journal(
         &server,
         std::slice::from_ref(&file),
@@ -78,7 +78,7 @@ fn flaky_connection_without_journal_still_converges() {
         None,
     )
     .expect("night load succeeds");
-    server.inject_call_faults(0);
+    server.set_fault_plan(None);
     for (table, expect) in &file.expected.loadable {
         let tid = server.engine().table_id(table).unwrap();
         assert_eq!(server.engine().row_count(tid), *expect, "{table}");
@@ -91,7 +91,7 @@ fn single_load_surfaces_protocol_errors_to_the_caller() {
     // is reported, not swallowed.
     let file = generate_file(&GenConfig::small(805, 100), 0);
     let server = fresh_server();
-    server.inject_call_faults(1); // every call fails
+    server.set_fault_plan(Some(FaultPlan::every_nth(1))); // every call fails
     let session = server.connect();
     let err = load_catalog_file(&session, &LoaderConfig::test(), &file).unwrap_err();
     assert!(matches!(err, skydb::DbError::Protocol(_)), "{err}");
